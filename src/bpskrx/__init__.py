@@ -18,7 +18,6 @@ from .core import (
     DimensionMismatchError,
     NotPureError,
     ReceiverResult,
-    RECEIVER_TAGS,
     SingularMatrixError,
     TruncationError,
     UnsupportedConfigurationError,
@@ -54,8 +53,6 @@ from .fock import (
     FockVector,
     coherent_vector,
     displacement_matrix,
-    off_operator,
-    on_operator,
     receiver_error_fock,
     squeeze_matrix,
 )
@@ -81,6 +78,7 @@ from .optimize import (
 )
 from .receivers import (
     DEFAULT_ALPHA_SQ_GRID,
+    RECEIVERS,
     helstrom,
     homodyne_limit,
     homodyne_limit_attenuated,
@@ -91,5 +89,8 @@ from .receivers import (
     type2_error,
     type2_imperfect_error,
 )
+
+#: Receiver tags in the table's order.
+RECEIVER_TAGS = tuple(RECEIVERS)
 
 __version__ = "0.1.0"

@@ -8,8 +8,8 @@ Subcommands:
 * ``montecarlo``      click-level simulation sweep -> CSV (provenance=montecarlo)
 * ``plot``            render sweep CSVs as a deterministic SVG chart
 
-Exit codes: 0 success, 2 partial sweep (some points omitted), 3 optimizer
-failure, 4 input format error.
+Exit codes: 0 success, 2 argument error or partial sweep (some points
+omitted), 3 optimizer failure, 4 input format error.
 """
 
 from __future__ import annotations
@@ -26,28 +26,13 @@ from .core import (
     ConvergenceError,
     CsvFormatError,
     DetectorModel,
-    RECEIVER_TAGS,
     ReceiverResult,
     TruncationError,
     UnsupportedConfigurationError,
 )
 from .montecarlo import RNG_ID, McConfig, sweep_montecarlo
-from .optimize import (
-    solve_type1_params,
-    solve_type2_gamma,
-    solve_type2_gamma_imperfect,
-    verify_gaussian_optimum,
-)
-from .receivers import (
-    helstrom,
-    homodyne_limit,
-    homodyne_limit_attenuated,
-    kennedy_error,
-    kennedy_raw_error,
-    type1_error,
-    type2_error,
-    type2_imperfect_error,
-)
+from .optimize import solve_type1_params, solve_type2_gamma, verify_gaussian_optimum
+from .receivers import RECEIVERS, coupled_tag
 from .sweepio import read_csv, row_from_result, write_csv
 from .svgplot import render_svg
 
@@ -62,9 +47,9 @@ def _parse_receivers(text: str) -> list[str]:
         tag = part.strip().replace("-", "_")
         if not tag:
             continue
-        if tag not in RECEIVER_TAGS:
+        if tag not in RECEIVERS:
             raise argparse.ArgumentTypeError(
-                f"unknown receiver {part.strip()!r}; choose from {', '.join(RECEIVER_TAGS)}"
+                f"unknown receiver {part.strip()!r}; choose from {', '.join(RECEIVERS)}"
             )
         tags.append(tag)
     return tags
@@ -74,19 +59,33 @@ def _parse_grid(text: str) -> list[float]:
     """Either ``lo:hi:n`` (inclusive linear spacing) or a comma list."""
     if ":" in text:
         lo_s, hi_s, n_s = text.split(":")
-        n = int(n_s)
-        if n < 1:
-            raise argparse.ArgumentTypeError("grid needs at least one point")
-        return [float(v) for v in np.linspace(float(lo_s), float(hi_s), n)]
-    return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(v) for v in np.linspace(float(lo_s), float(hi_s), int(n_s))]
+    else:
+        values = [float(part) for part in text.split(",") if part.strip()]
+    if not values or not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError("grid needs at least one point, all finite")
+    return values
+
+
+def _usage(build, **kwargs):
+    """Build a model from flag values; a ValueError from its validation
+    becomes an argument error."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _alpha_grid(args) -> np.ndarray:
-    if args.alpha_sq_min >= args.alpha_sq_max:
-        raise argparse.ArgumentTypeError("--alpha-sq-min must be below --alpha-sq-max")
+    if not 0.0 <= args.alpha_sq_min < args.alpha_sq_max < math.inf:
+        raise argparse.ArgumentTypeError(
+            "need 0 <= --alpha-sq-min < --alpha-sq-max, both finite"
+        )
     if args.points < 2:
         raise argparse.ArgumentTypeError("--points must be at least 2")
     if args.scale == "log":
+        if args.alpha_sq_min == 0.0:
+            raise argparse.ArgumentTypeError("--scale log needs --alpha-sq-min > 0")
         return np.logspace(
             math.log10(args.alpha_sq_min), math.log10(args.alpha_sq_max), args.points
         )
@@ -94,7 +93,11 @@ def _alpha_grid(args) -> np.ndarray:
 
 
 def _detector(args) -> DetectorModel:
-    return DetectorModel(eta=args.eta, nu=args.nu, tau=args.tau, xi=args.xi)
+    return _usage(DetectorModel, eta=args.eta, nu=args.nu, tau=args.tau, xi=args.xi)
+
+
+def _detector_metadata(det: DetectorModel) -> dict:
+    return {name: repr(getattr(det, name)) for name in ("eta", "nu", "tau", "xi")}
 
 
 def _add_detector_flags(p: argparse.ArgumentParser) -> None:
@@ -111,28 +114,6 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", choices=("log", "linear"), default="log")
 
 
-def _eval_receiver(tag: str, ensemble: BinaryEnsemble, det: DetectorModel) -> ReceiverResult:
-    if tag == "helstrom":
-        return ReceiverResult("helstrom", helstrom(ensemble))
-    if tag == "homodyne":
-        return ReceiverResult("homodyne", homodyne_limit(ensemble))
-    if tag == "homodyne_tau":
-        return ReceiverResult(
-            "homodyne_tau", homodyne_limit_attenuated(ensemble, det), detector=det
-        )
-    if tag in ("kennedy", "kennedy_imperfect"):
-        return kennedy_error(ensemble, det)
-    if tag == "kennedy_raw":
-        return kennedy_raw_error(ensemble, det)
-    if tag == "type1":
-        return type1_error(ensemble, det)
-    if tag == "type2":
-        return type2_error(ensemble, det)
-    if tag == "type2_imperfect":
-        return type2_imperfect_error(ensemble, det)
-    raise ValueError(f"unknown receiver tag {tag!r}")
-
-
 def _cmd_sweep(args) -> int:
     grid = _alpha_grid(args)
     det = _detector(args)
@@ -142,7 +123,7 @@ def _cmd_sweep(args) -> int:
         ensemble = BinaryEnsemble(math.sqrt(alpha_sq))
         for tag in args.receivers:
             try:
-                result = _eval_receiver(tag, ensemble, det)
+                result = RECEIVERS[tag].evaluate(ensemble, det)
             except _SOLVER_FAILURES as exc:
                 print(
                     f"warning: {tag} at alpha_sq={alpha_sq!r}: {exc}", file=sys.stderr
@@ -156,10 +137,7 @@ def _cmd_sweep(args) -> int:
         metadata={
             "tool": "bpskrx sweep",
             "receivers": ",".join(args.receivers),
-            "eta": repr(det.eta),
-            "nu": repr(det.nu),
-            "tau": repr(det.tau),
-            "xi": repr(det.xi),
+            **_detector_metadata(det),
             "scale": args.scale,
             "points": args.points,
         },
@@ -168,6 +146,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    if not 0.0 < args.alpha_sq < math.inf:
+        raise argparse.ArgumentTypeError(f"--alpha-sq must be positive, got {args.alpha_sq!r}")
+    _usage(DetectorModel, eta=args.eta)
     alpha = math.sqrt(args.alpha_sq)
     try:
         gamma = solve_type2_gamma(alpha, args.eta)
@@ -183,6 +164,8 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_verify_gaussian(args) -> int:
+    if not 0.0 <= args.alpha_sq < math.inf:
+        raise argparse.ArgumentTypeError(f"--alpha-sq must be >= 0, got {args.alpha_sq!r}")
     ensemble = BinaryEnsemble(math.sqrt(args.alpha_sq))
     r_grid = args.r_grid if args.r_grid is not None else [float(k) for k in range(9)]
     phi_grid = (
@@ -214,20 +197,24 @@ def _cmd_verify_gaussian(args) -> int:
 def _cmd_montecarlo(args) -> int:
     grid = _alpha_grid(args)
     det = _detector(args)
-    template = McConfig(
+    template = _usage(
+        McConfig,
         trials=args.trials,
         seed=args.seed,
         ensemble=BinaryEnsemble(1.0),
         detector=det,
         gamma=0.0,
     )
-    estimates = sweep_montecarlo(grid, template)
+    try:
+        estimates = sweep_montecarlo(grid, template)
+    except _SOLVER_FAILURES as exc:
+        print(f"error: optimizer failed: {exc}", file=sys.stderr)
+        return 3
+    tag = coupled_tag("type2", det)
     rows = []
     for alpha_sq, est in zip(grid, estimates):
-        gamma = solve_type2_gamma_imperfect(math.sqrt(alpha_sq), det).value
-        tag = "type2" if det.ideal_coupling else "type2_imperfect"
         result = ReceiverResult(
-            tag, est.p_hat, provenance="montecarlo", gamma_opt=gamma, detector=det
+            tag, est.p_hat, provenance="montecarlo", gamma_opt=est.gamma, detector=det
         )
         rows.append(row_from_result(float(alpha_sq), result, std_err=est.std_err))
     write_csv(
@@ -238,10 +225,7 @@ def _cmd_montecarlo(args) -> int:
             "seed": args.seed,
             "trials": args.trials,
             "rng_id": RNG_ID,
-            "eta": repr(det.eta),
-            "nu": repr(det.nu),
-            "tau": repr(det.tau),
-            "xi": repr(det.xi),
+            **_detector_metadata(det),
         },
     )
     return 0
@@ -252,10 +236,7 @@ def _cmd_plot(args) -> int:
     for path in args.csv:
         try:
             _, file_rows = read_csv(path)
-        except CsvFormatError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 4
-        except OSError as exc:
+        except (CsvFormatError, OSError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 4
         rows.extend(file_rows)
@@ -281,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated receiver tags (hyphens and underscores both accepted)",
     )
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, usage_error=p.error)
 
     p = sub.add_parser("params", help="optimal receiver parameters at one amplitude")
     p.add_argument("--alpha-sq", type=float, required=True)
     p.add_argument("--eta", type=float, default=1.0)
-    p.set_defaults(func=_cmd_params)
+    p.set_defaults(func=_cmd_params, usage_error=p.error)
 
     p = sub.add_parser(
         "verify-gaussian", help="scan Gaussian measurements, verify homodyne wins"
@@ -299,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--phi-grid", type=_parse_grid, default=None, help="comma list or lo:hi:n"
     )
     p.add_argument("--out", default=None, help="optional landscape CSV path")
-    p.set_defaults(func=_cmd_verify_gaussian)
+    p.set_defaults(func=_cmd_verify_gaussian, usage_error=p.error)
 
     p = sub.add_parser("montecarlo", help="click-level simulation sweep")
     _add_grid_flags(p)
@@ -307,19 +288,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20260814)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_montecarlo)
+    p.set_defaults(func=_cmd_montecarlo, usage_error=p.error)
 
     p = sub.add_parser("plot", help="render sweep CSVs to SVG")
     p.add_argument("csv", nargs="+", help="input CSV paths")
     p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(func=_cmd_plot)
+    p.set_defaults(func=_cmd_plot, usage_error=p.error)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        args.usage_error(str(exc))  # exits 2 with the subcommand's usage line
 
 
 if __name__ == "__main__":

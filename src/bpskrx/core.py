@@ -133,18 +133,13 @@ class DetectorModel:
         return self.tau == 1.0 and self.xi == 1.0
 
 
-#: Receiver tags understood by the sweep machinery.
-RECEIVER_TAGS = (
-    "helstrom",
-    "homodyne",
-    "homodyne_tau",
-    "kennedy",
-    "kennedy_imperfect",
-    "kennedy_raw",
-    "type1",
-    "type2",
-    "type2_imperfect",
-)
+#: How a `ReceiverResult` number was obtained.
+PROVENANCES = ("analytic", "fock", "montecarlo")
+
+#: The receiver table of `receivers`, which validates tags. That module
+#: imports this one, so the table is bound on first use; importing it on
+#: every construction would cost microseconds per result.
+_RECEIVERS = None
 
 
 @dataclass(frozen=True)
@@ -166,7 +161,10 @@ class ReceiverResult:
     detector: DetectorModel = field(default_factory=DetectorModel)
 
     def __post_init__(self):
-        if self.receiver not in RECEIVER_TAGS:
+        global _RECEIVERS
+        if _RECEIVERS is None:
+            from .receivers import RECEIVERS as _RECEIVERS
+        if self.receiver not in _RECEIVERS:
             raise ValueError(f"unknown receiver tag {self.receiver!r}")
-        if self.provenance not in ("analytic", "fock", "montecarlo"):
+        if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")

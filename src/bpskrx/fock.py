@@ -33,8 +33,6 @@ __all__ = [
     "coherent_vector",
     "displacement_matrix",
     "squeeze_matrix",
-    "off_operator",
-    "on_operator",
     "receiver_error_fock",
 ]
 
@@ -74,35 +72,22 @@ class FockVector:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Matrix on the truncated number basis.
+    """Truncated unitary on the number basis.
 
-    ``kind`` is one of ``unitary``, ``povm-element``, ``generic``.
-    For unitary kind, ``unitarity_defect`` is max|U^dag U - I| measured on
-    the padded exponential before truncation and must be below 1e-8.
+    ``unitarity_defect`` is max|U^dag U - I| measured on the padded
+    exponential before truncation and must be below 1e-8.
     """
 
     mat: np.ndarray
     dim: int
-    kind: str
     unitarity_defect: float = 0.0
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {mat.shape}, dim {self.dim}")
-        if self.kind == "unitary":
-            if self.unitarity_defect >= 1e-8:
-                raise ValueError(
-                    f"unitarity defect {self.unitarity_defect:.3e} exceeds 1e-8"
-                )
-        elif self.kind == "povm-element":
-            if np.abs(mat - mat.conj().T).max() > 1e-12:
-                raise ValueError("POVM element is not Hermitian")
-            eigs = np.linalg.eigvalsh(mat)
-            if eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10:
-                raise ValueError(f"POVM eigenvalues outside [0, 1]: {eigs.min()}, {eigs.max()}")
-        elif self.kind != "generic":
-            raise ValueError(f"unknown operator kind {self.kind!r}")
+        if self.unitarity_defect >= 1e-8:
+            raise ValueError(f"unitarity defect {self.unitarity_defect:.3e} exceeds 1e-8")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
@@ -148,7 +133,7 @@ def displacement_matrix(beta: float, dim: int) -> FockOperator:
         raise ValueError("dim must be at least 1")
     a = _ladder(dim + PAD)
     mat, defect = _padded_unitary(beta * (a.T - a), dim)
-    return FockOperator(mat, dim, "unitary", defect)
+    return FockOperator(mat, dim, defect)
 
 
 def squeeze_matrix(r: float, dim: int) -> FockOperator:
@@ -163,29 +148,12 @@ def squeeze_matrix(r: float, dim: int) -> FockOperator:
         raise ValueError(f"|r| = {abs(r)} outside the oracle validity range [0, 2]")
     a = _ladder(dim + PAD)
     mat, defect = _padded_unitary(0.5 * r * (a @ a - a.T @ a.T), dim)
-    return FockOperator(mat, dim, "unitary", defect)
-
-
-def off_operator(eta: float, nu: float, dim: int) -> FockOperator:
-    """No-click POVM element of the on/off detector: diagonal entries
-    ``exp(-nu) (1 - eta)^m`` for quantum efficiency ``eta`` and mean dark
-    count ``nu``."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta = {eta} outside [0, 1]")
-    if nu < 0.0:
-        raise ValueError(f"nu = {nu} is negative")
-    m = np.arange(dim)
-    entries = math.exp(-nu) * (1.0 - eta) ** m
-    return FockOperator(np.diag(entries).astype(complex), dim, "povm-element")
-
-
-def on_operator(eta: float, nu: float, dim: int) -> FockOperator:
-    """Click element ``I - off_operator``."""
-    off = off_operator(eta, nu, dim)
-    return FockOperator(np.eye(dim) - off.mat, dim, "povm-element")
+    return FockOperator(mat, dim, defect)
 
 
 def _off_diagonal(eta: float, nu: float, dim: int) -> np.ndarray:
+    """Diagonal ``exp(-nu) (1 - eta)^m`` of the on/off detector's no-click
+    element, for quantum efficiency ``eta`` and mean dark count ``nu``."""
     m = np.arange(dim)
     return math.exp(-nu) * (1.0 - eta) ** m
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, eigh, solve
+from scipy.linalg import block_diag, cho_factor, cho_solve, eigh
 from scipy.special import erfc
 
 from .core import (
@@ -68,16 +68,16 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return block_diag(*([_OMEGA_1] * n_modes))
 
 
-def _check_uncertainty(cov: np.ndarray, what: str) -> None:
-    """Assert cov + i*Omega >= 0 (eigenvalues above a scale-aware -1e-10)."""
+def _check_uncertainty(cov: np.ndarray, what: str, scale: float | None = None) -> None:
+    """Assert cov + i*Omega >= 0: eigenvalues above -1e-10 times ``scale``
+    (default: the largest |entry| of cov), or times 1 if that is larger."""
     n = cov.shape[0] // 2
-    h = cov + 1j * symplectic_form(n)
-    eigs = np.linalg.eigvalsh(h)
-    floor = -1e-10 * max(1.0, float(np.abs(cov).max()))
-    if eigs.min() < floor:
+    low = np.linalg.eigvalsh(cov + 1j * symplectic_form(n)).min()
+    if scale is None:
+        scale = float(np.abs(cov).max())
+    if low < -1e-10 * max(1.0, scale):
         raise ValueError(
-            f"{what} violates the uncertainty relation: "
-            f"min eig(cov + i Omega) = {eigs.min():.3e}"
+            f"{what} violates the uncertainty relation: min eig(cov + i Omega) = {low:.3e}"
         )
 
 
@@ -302,11 +302,42 @@ def apply_gaussian_unitary(state: GaussianState, op: SymplecticOp) -> GaussianSt
     return GaussianState(cov, op.matrix @ state.disp + op.offset)
 
 
-def _guarded_solve(m: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+def _schur(g: np.ndarray, na: int, shift: np.ndarray, rhs: np.ndarray, what: str):
+    """Condition the leading ``na`` coordinates of ``g`` on the trailing ones.
+
+    With ``g`` split into blocks A (leading), B (trailing), C (cross) and
+    ``M = B + shift``, returns
+
+    * the Schur complement ``A - C M^{-1} C^T``, symmetrized,
+    * the gain ``K = M^{-1} C^T``, so ``C M^{-1} v = K^T v``,
+    * ``M^{-1} rhs`` for the trailing-length columns of ``rhs``,
+    * ``log det M``.
+
+    ``M`` is checked against ``COND_LIMIT`` once and factored once
+    (Cholesky), whatever the number of right-hand sides. An empty trailing
+    block conditions on nothing: ``A``, an empty gain and ``log det = 0``.
+
+    Raises
+    ------
+    SingularMatrixError
+        If ``M`` is ill-conditioned or not positive definite; ``what`` names
+        ``M`` in the message.
+    """
+    a, c = g[:na, :na], g[:na, na:]
+    m = g[na:, na:] + shift
+    if m.size == 0:
+        return 0.5 * (a + a.T), c.T, rhs, 0.0
     cond = np.linalg.cond(m)
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(what, float(cond))
-    return solve(m, rhs, assume_a="sym")
+        raise SingularMatrixError(f"{what} is numerically singular", float(cond))
+    try:
+        factor = cho_factor(m)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(f"{what} is not positive definite", math.inf) from None
+    x = cho_solve(factor, np.column_stack([c.T, rhs]))
+    gain, solved = x[:, : c.shape[0]], x[:, c.shape[0] :]
+    out = a - c @ gain
+    return 0.5 * (out + out.T), gain, solved, 2.0 * float(np.log(np.diag(factor[0])).sum())
 
 
 @dataclass(frozen=True)
@@ -348,19 +379,10 @@ def condition_on_partial_measurement(
     if k == 0:
         return ConditionedState(state.cov, state.disp, 1.0)
     na = 2 * keep_modes
-    a = state.cov[:na, :na]
-    b = state.cov[na:, na:]
-    c = state.cov[:na, na:]
-    m = b + meas.cov
-    x = _guarded_solve(m, c.T, "B + gamma_M is numerically singular")
-    cov_out = a - c @ x
-    cov_out = 0.5 * (cov_out + cov_out.T)
     v = state.disp[na:] - meas.outcome
-    w = _guarded_solve(m, v, "B + gamma_M is numerically singular")
-    disp_out = state.disp[:na] - c @ w
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0:
-        raise SingularMatrixError("B + gamma_M is not positive definite", math.inf)
+    cov_out, gain, w, logdet = _schur(state.cov, na, meas.cov, v[:, None], "B + gamma_M")
+    w = w[:, 0]
+    disp_out = state.disp[:na] - gain.T @ v
     log_density = -k * math.log(math.pi) - 0.5 * logdet - float(v @ w)
     return ConditionedState(cov_out, disp_out, math.exp(log_density))
 
@@ -410,37 +432,20 @@ def binary_conditional_output(
     s_sig = s @ d_sig
     offs = op.offset
 
-    if k == 0:
-        cov.setflags(write=False)
-        disp_signal = s_sig
-        disp_offset = offs.copy()
-        dens_plus = dens_minus = 1.0
-    else:
-        a = cov[:na, :na]
-        b = cov[na:, na:]
-        c = cov[:na, na:]
-        mm = b + meas.cov
-        x = _guarded_solve(mm, c.T, "B + gamma_M is numerically singular")
-        cov_out = a - c @ x
-        cov = 0.5 * (cov_out + cov_out.T)
-        cov.setflags(write=False)
-        w_sig = _guarded_solve(mm, s_sig[na:], "B + gamma_M is numerically singular")
-        disp_signal = s_sig[:na] - c @ w_sig
-        v_off = offs[na:] - meas.outcome
-        w_off = _guarded_solve(mm, v_off, "B + gamma_M is numerically singular")
-        disp_offset = offs[:na] - c @ w_off
-        sign, logdet = np.linalg.slogdet(mm)
-        if sign <= 0:
-            raise SingularMatrixError("B + gamma_M is not positive definite", math.inf)
-        log_norm = -k * math.log(math.pi) - 0.5 * logdet
-        v_plus = (s_sig[na:] + offs[na:]) - meas.outcome
-        v_minus = (-s_sig[na:] + offs[na:]) - meas.outcome
-        dens_plus = math.exp(
-            log_norm - float(v_plus @ _guarded_solve(mm, v_plus, "B + gamma_M"))
-        )
-        dens_minus = math.exp(
-            log_norm - float(v_minus @ _guarded_solve(mm, v_minus, "B + gamma_M"))
-        )
+    # Both branches share the Schur complement; the trailing parts of the
+    # signal and of the offset are the two right-hand sides.
+    v_sig = s_sig[na:]
+    v_off = offs[na:] - meas.outcome
+    cov, gain, w, logdet = _schur(
+        cov, na, meas.cov, np.column_stack([v_sig, v_off]), "B + gamma_M"
+    )
+    cov.setflags(write=False)
+    w_sig, w_off = w[:, 0], w[:, 1]
+    disp_signal = s_sig[:na] - gain.T @ v_sig
+    disp_offset = offs[:na] - gain.T @ v_off
+    log_norm = -k * math.log(math.pi) - 0.5 * logdet
+    dens_plus = math.exp(log_norm - float((v_off + v_sig) @ (w_off + w_sig)))
+    dens_minus = math.exp(log_norm - float((v_off - v_sig) @ (w_off - w_sig)))
 
     return ConditionalOutput(
         state_plus=GaussianState(cov, disp_offset + disp_signal),
@@ -581,34 +586,16 @@ def povm_from_physical_model(
     t_a, t_b = t[:na, :], t[na:, :]
     d_bar = unitary.offset
 
-    if nb == 0:
-        cov = 0.5 * (g + g.T)
-        linear = t_a
-        offset = -t_a @ d_bar
-    else:
-        g_a = g[:na, :na]
-        g_b = g[na:, na:]
-        g_c = g[:na, na:]
-        g_aux = block_diag(*[a.cov for a in aux])
-        d_aux = np.concatenate([a.disp for a in aux])
-        m = g_aux + g_b
-        x = _guarded_solve(m, g_c.T, "Gamma_aux + Gamma_B is numerically singular")
-        cov = g_a - g_c @ x
-        cov = 0.5 * (cov + cov.T)
-        linear = t_a - x.T @ t_b
-        offset = -linear @ d_bar + x.T @ d_aux
+    g_aux = block_diag(*[a.cov for a in aux]) if aux else np.empty((0, 0))
+    d_aux = np.concatenate([a.disp for a in aux]) if aux else np.empty(0)
+    cov, gain, _, _ = _schur(g, na, g_aux, np.empty((2 * nb, 0)), "Gamma_aux + Gamma_B")
+    linear = t_a - gain.T @ t_b
+    offset = -linear @ d_bar + gain.T @ d_aux
     # Physical-validity check. Models that realize heterodyne-like POVMs sit
     # exactly on the boundary of cov + i Omega >= 0, and the achievable
     # accuracy there is set by rounding in the exp(+-2 squeeze_r)-scaled
     # intermediate, so the tolerance scales with that intermediate's size.
-    h = cov + 1j * symplectic_form(n_signal)
-    floor = -1e-10 * max(1.0, float(np.abs(g).max()))
-    low = np.linalg.eigvalsh(h).min()
-    if low < floor:
-        raise ValueError(
-            f"derived POVM covariance violates the uncertainty relation: "
-            f"min eig(cov + i Omega) = {low:.3e}"
-        )
+    _check_uncertainty(cov, "derived POVM covariance", float(np.abs(g).max()))
     return GaussianPovm(cov=cov, linear=linear, offset=offset)
 
 

@@ -65,13 +65,15 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Estimated error probability with its binomial standard error."""
+    """Estimated error probability with its binomial standard error, and
+    the displacement ``gamma`` of the simulated receiver."""
 
     p_hat: float
     std_err: float
     trials: int
     seed: int
     rng_id: str = RNG_ID
+    gamma: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.p_hat <= 1.0:
@@ -115,6 +117,7 @@ def simulate_type2(config: McConfig) -> McEstimate:
         std_err=math.sqrt(p_hat * (1.0 - p_hat) / config.trials),
         trials=config.trials,
         seed=config.seed,
+        gamma=config.gamma,
     )
 
 
@@ -125,8 +128,9 @@ def sweep_montecarlo(grid, template: McConfig) -> list[McEstimate]:
     over from the template), re-solves the optimal displacement for the
     template's detector, and runs `simulate_type2` with the seed
     ``derive_point_seed(template.seed, index)``; the template's own gamma is
-    ignored. A one-point sweep therefore equals a direct `simulate_type2`
-    call with that derived seed and solved gamma.
+    ignored; each estimate carries the gamma it was run with. A one-point
+    sweep therefore equals a direct `simulate_type2` call with that derived
+    seed and solved gamma.
     """
     grid = list(grid)
     if not grid:

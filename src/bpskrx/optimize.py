@@ -165,14 +165,30 @@ def type1_residuals(alpha: float, beta: float, r: float, eta: float) -> tuple[fl
     return r1, r2
 
 
-def _gamma_condition_root(target: float, slope: float, hi_guess: float) -> RootResult:
-    """Root of ``g(x) = x tanh(slope * x) - target`` on x > 0.
+def _solve_gamma(alpha: float, eta: float, tau: float, xi: float) -> RootResult:
+    """The gamma condition ``xi sqrt(tau) alpha = gamma tanh(2 eta xi alpha
+    gamma)`` on gamma > 0, shared by both public solvers.
 
-    The function is strictly increasing from 0- through the unique root, so
-    a tiny lower end plus an expandable upper end always brackets it.
+    ``g(x) = x tanh(slope x) - target`` is strictly increasing from 0-
+    through the unique root, so a tiny lower end plus an expandable upper
+    end always brackets it. The ``alpha = 0`` limit is ``gamma^2 =
+    sqrt(tau) / (2 eta)``, returned without iteration.
     """
+    if eta <= 0.0 or xi <= 0.0 or tau <= 0.0:
+        raise UnsupportedConfigurationError(
+            "eta, tau, xi must be positive for the gamma condition "
+            f"(got eta={eta!r}, tau={tau!r}, xi={xi!r})"
+        )
+    if alpha < 0.0:
+        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    if alpha == 0.0:
+        v = math.sqrt(math.sqrt(tau) / (2.0 * eta))
+        return RootResult(v, 0.0, 0, (v, v))
+    target = xi * math.sqrt(tau) * alpha
+    slope = 2.0 * eta * xi * alpha
+    hi = target + 1.0 / math.sqrt(2.0 * eta * xi) + 1.0
     f = lambda x: x * math.tanh(slope * x) - target
-    return find_root_bracketed(f, 1e-12, hi_guess, tol=1e-12)
+    return find_root_bracketed(f, 1e-12, hi, tol=1e-12)
 
 
 def solve_type2_gamma(alpha: float, eta: float = 1.0) -> RootResult:
@@ -181,17 +197,9 @@ def solve_type2_gamma(alpha: float, eta: float = 1.0) -> RootResult:
     Solves ``alpha = gamma tanh(2 eta alpha gamma)``; the solution satisfies
     ``gamma >= alpha`` and approaches ``1/sqrt(2 eta)`` as ``alpha -> 0``
     (returned directly in that limit, no iteration) and ``alpha`` itself for
-    large amplitudes where the tanh saturates.
+    large amplitudes where the tanh saturates. Any ``eta > 0`` is accepted.
     """
-    if eta <= 0.0:
-        raise UnsupportedConfigurationError("eta must be positive for the gamma condition")
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
-    if alpha == 0.0:
-        v = math.sqrt(1.0 / (2.0 * eta))
-        return RootResult(v, 0.0, 0, (v, v))
-    hi = alpha + 1.0 / math.sqrt(2.0 * eta) + 1.0
-    return _gamma_condition_root(alpha, 2.0 * eta * alpha, hi)
+    return _solve_gamma(alpha, eta, 1.0, 1.0)
 
 
 def solve_type2_gamma_imperfect(alpha: float, detector: DetectorModel) -> RootResult:
@@ -199,23 +207,9 @@ def solve_type2_gamma_imperfect(alpha: float, detector: DetectorModel) -> RootRe
 
     Solves ``xi sqrt(tau) alpha = gamma tanh(2 eta xi alpha gamma)``. At
     ``tau = xi = 1`` every coefficient is multiplied by exactly 1.0, so the
-    solve follows the identical floating-point path as `solve_type2_gamma`
-    and returns bitwise-equal results. The ``alpha = 0`` limit is
-    ``gamma^2 = sqrt(tau) / (2 eta)``.
+    result is bitwise equal to `solve_type2_gamma`.
     """
-    eta, tau, xi = detector.eta, detector.tau, detector.xi
-    if eta <= 0.0 or xi <= 0.0 or tau <= 0.0:
-        raise UnsupportedConfigurationError(
-            "eta, xi, tau must be positive for the gamma condition"
-        )
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
-    if alpha == 0.0:
-        v = math.sqrt(math.sqrt(tau) / (2.0 * eta))
-        return RootResult(v, 0.0, 0, (v, v))
-    target = xi * math.sqrt(tau) * alpha
-    hi = target + 1.0 / math.sqrt(2.0 * eta * xi) + 1.0
-    return _gamma_condition_root(target, 2.0 * eta * xi * alpha, hi)
+    return _solve_gamma(alpha, detector.eta, detector.tau, detector.xi)
 
 
 def _beta_given_r(alpha: float, r: float, eta: float) -> float:

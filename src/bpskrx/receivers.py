@@ -18,6 +18,7 @@ relative precision down to the underflow floor.
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .gaussian import bayes_error_from_contrast
 from .optimize import (
     displaced_squeezed_error,
     solve_type1_params,
-    solve_type2_gamma,
     solve_type2_gamma_imperfect,
 )
 
@@ -40,6 +40,9 @@ __all__ = [
     "DetectorModel",
     "ReceiverResult",
     "DEFAULT_ALPHA_SQ_GRID",
+    "RECEIVERS",
+    "Receiver",
+    "coupled_tag",
     "helstrom",
     "homodyne_limit",
     "homodyne_limit_attenuated",
@@ -61,6 +64,12 @@ def _require_equal_priors(ensemble: BinaryEnsemble, what: str) -> None:
             f"{what} is defined here for equal priors only "
             f"(got p_plus={ensemble.p_plus}, p_minus={ensemble.p_minus})"
         )
+
+
+def coupled_tag(name: str, detector: DetectorModel) -> str:
+    """Row tag of a receiver with an imperfect-coupling variant: ``name`` at
+    tau = xi = 1, ``name + "_imperfect"`` otherwise."""
+    return name if detector.ideal_coupling else f"{name}_imperfect"
 
 
 def helstrom(ensemble: BinaryEnsemble) -> float:
@@ -132,7 +141,7 @@ def kennedy_error(
     _require_equal_priors(ensemble, "the displacement receiver")
     gamma = math.sqrt(detector.tau) * ensemble.alpha
     return ReceiverResult(
-        receiver="kennedy" if detector.ideal_coupling else "kennedy_imperfect",
+        receiver=coupled_tag("kennedy", detector),
         p_error=_click_error(ensemble.alpha, gamma, detector),
         gamma_opt=gamma,
         detector=detector,
@@ -172,17 +181,11 @@ def type2_error(
     ``gamma_opt`` solves ``alpha = gamma tanh(2 eta alpha gamma)``; the
     error is ``1/2 - exp(-nu - eta (alpha^2 + gamma^2)) sinh(2 eta alpha
     gamma)`` in its stable arrangement. Always at or below the
-    non-optimized receiver and strictly below the homodyne limit.
+    non-optimized receiver and strictly below the homodyne limit. This is
+    the ideal-coupling case of `type2_imperfect_error`.
     """
-    _require_equal_priors(ensemble, "the optimized displacement receiver")
     _require_ideal_coupling(detector, "the optimized displacement receiver")
-    gamma = solve_type2_gamma(ensemble.alpha, detector.eta).value
-    return ReceiverResult(
-        receiver="type2",
-        p_error=_click_error(ensemble.alpha, gamma, detector),
-        gamma_opt=gamma,
-        detector=detector,
-    )
+    return type2_imperfect_error(ensemble, detector)
 
 
 def type1_error(
@@ -234,14 +237,50 @@ def type2_imperfect_error(
     ``gamma_opt`` solves ``xi sqrt(tau) alpha = gamma tanh(2 eta xi alpha
     gamma)`` and the error is ``1/2 - exp(-nu - eta (tau alpha^2 +
     gamma^2)) sinh(2 eta xi sqrt(tau) alpha gamma)`` (stable form). At
-    ``tau = xi = 1`` both the solve and the evaluation follow the exact
-    same floating-point path as `type2_error`.
+    ``tau = xi = 1`` the row is tagged ``type2``.
     """
     _require_equal_priors(ensemble, "the optimized displacement receiver")
     gamma = solve_type2_gamma_imperfect(ensemble.alpha, detector).value
     return ReceiverResult(
-        receiver="type2" if detector.ideal_coupling else "type2_imperfect",
+        receiver=coupled_tag("type2", detector),
         p_error=_click_error(ensemble.alpha, gamma, detector),
         gamma_opt=gamma,
         detector=detector,
     )
+
+
+class Receiver(NamedTuple):
+    """One entry of the receiver table."""
+
+    evaluate: Callable[[BinaryEnsemble, DetectorModel], ReceiverResult]
+    #: Detector fields that enter the formula; the CSV blanks the others.
+    detector_cols: tuple[str, ...]
+
+
+_IDEAL = ("eta", "nu")
+_COUPLED = ("eta", "nu", "tau", "xi")
+
+#: Every receiver the package knows, in the order the CLI lists them: tag ->
+#: evaluator and CSV detector columns. The one place to add a receiver.
+#: An evaluator may name its row after the detector's coupling (see
+#: `coupled_tag`): ``kennedy`` with coupling loss gives a
+#: ``kennedy_imperfect`` row, ``type2_imperfect`` at tau = xi = 1 a ``type2``
+#: row.
+RECEIVERS: dict[str, Receiver] = {
+    "helstrom": Receiver(lambda ens, det: ReceiverResult("helstrom", helstrom(ens)), ()),
+    "homodyne": Receiver(
+        lambda ens, det: ReceiverResult("homodyne", homodyne_limit(ens)), ()
+    ),
+    "homodyne_tau": Receiver(
+        lambda ens, det: ReceiverResult(
+            "homodyne_tau", homodyne_limit_attenuated(ens, det), detector=det
+        ),
+        ("tau",),
+    ),
+    "kennedy": Receiver(kennedy_error, _IDEAL),
+    "kennedy_imperfect": Receiver(kennedy_error, _COUPLED),
+    "kennedy_raw": Receiver(kennedy_raw_error, _COUPLED),
+    "type1": Receiver(type1_error, _IDEAL),
+    "type2": Receiver(type2_error, _IDEAL),
+    "type2_imperfect": Receiver(type2_imperfect_error, _COUPLED),
+}

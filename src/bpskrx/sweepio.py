@@ -6,10 +6,8 @@ One fixed column set for every emitter (analytic sweeps, Monte Carlo runs):
 
 Numbers are written with ``repr``, Python's shortest round-trip decimal. A
 blank field means "this quantity does not enter that receiver's formula"
-(never NaN): the quantum floor and the homodyne limit carry no detector
-fields at all, the tau-attenuated homodyne carries only tau, ideal-coupling
-click receivers carry eta and nu, the imperfect ones all four. ``std_err``
-is filled only on Monte Carlo rows.
+(never NaN); each tag's entry in `receivers.RECEIVERS` lists the detector
+columns it keeps. ``std_err`` is filled only on Monte Carlo rows.
 
 Metadata travels in ``#``-prefixed ``key=value`` lines before the header;
 readers skip any ``#`` line. No timestamps are written anywhere, so equal
@@ -20,26 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CsvFormatError, RECEIVER_TAGS, ReceiverResult
+from .core import PROVENANCES, CsvFormatError, ReceiverResult
+from .receivers import RECEIVERS
 
 __all__ = ["CSV_HEADER", "CsvRow", "row_from_result", "write_csv", "read_csv"]
 
 CSV_HEADER = "alpha_sq,receiver,eta,nu,tau,xi,p_error,beta_opt,r_opt,gamma_opt,provenance,std_err"
 
 _FIELDS = CSV_HEADER.split(",")
-
-#: Detector columns that are meaningful for each receiver tag.
-_DETECTOR_COLS = {
-    "helstrom": (),
-    "homodyne": (),
-    "homodyne_tau": ("tau",),
-    "kennedy": ("eta", "nu"),
-    "kennedy_imperfect": ("eta", "nu", "tau", "xi"),
-    "kennedy_raw": ("eta", "nu", "tau", "xi"),
-    "type1": ("eta", "nu"),
-    "type2": ("eta", "nu"),
-    "type2_imperfect": ("eta", "nu", "tau", "xi"),
-}
 
 
 @dataclass(frozen=True)
@@ -61,8 +47,9 @@ class CsvRow:
 def row_from_result(
     alpha_sq: float, result: ReceiverResult, std_err: float | None = None
 ) -> CsvRow:
-    """Serialize a receiver evaluation, blanking the unused columns."""
-    cols = _DETECTOR_COLS[result.receiver]
+    """Serialize a receiver evaluation, blanking the detector columns its
+    entry in the receiver table does not keep."""
+    cols = RECEIVERS[result.receiver].detector_cols
     det = result.detector
     return CsvRow(
         alpha_sq=alpha_sq,
@@ -143,9 +130,9 @@ def read_csv(path) -> tuple[dict, list[CsvRow]]:
                 f"expected {len(_FIELDS)} columns, got {len(parts)}", idx
             )
         named = dict(zip(_FIELDS, parts))
-        if named["receiver"] not in RECEIVER_TAGS:
+        if named["receiver"] not in RECEIVERS:
             raise CsvFormatError(f"unknown receiver {named['receiver']!r}", idx)
-        if named["provenance"] not in ("analytic", "fock", "montecarlo"):
+        if named["provenance"] not in PROVENANCES:
             raise CsvFormatError(f"unknown provenance {named['provenance']!r}", idx)
         alpha_sq = _parse_float(named["alpha_sq"], idx, "alpha_sq")
         p_error = _parse_float(named["p_error"], idx, "p_error")

@@ -5,11 +5,21 @@ import re
 
 import pytest
 
-from bpskrx import cli
+from bpskrx import cli, optimize
 from bpskrx.core import BinaryEnsemble, ConvergenceError, CsvFormatError, DetectorModel
 from bpskrx.montecarlo import RNG_ID, McConfig, derive_point_seed, simulate_type2
 from bpskrx.optimize import solve_type2_gamma
-from bpskrx.receivers import helstrom, kennedy_error, type1_error
+from bpskrx.receivers import (
+    RECEIVERS,
+    helstrom,
+    homodyne_limit,
+    homodyne_limit_attenuated,
+    kennedy_error,
+    kennedy_raw_error,
+    type1_error,
+    type2_error,
+    type2_imperfect_error,
+)
 from bpskrx.sweepio import CSV_HEADER, read_csv, row_from_result, write_csv
 
 
@@ -88,7 +98,7 @@ def test_sweep_partial_failure_exit_2(tmp_path, monkeypatch, capsys):
     def boom(ensemble, detector=None):
         raise ConvergenceError("injected failure")
 
-    monkeypatch.setattr(cli, "type1_error", boom)
+    monkeypatch.setitem(RECEIVERS, "type1", RECEIVERS["type1"]._replace(evaluate=boom))
     out = tmp_path / "partial.csv"
     rc = cli.main(
         ["sweep", "--points", "3", "--receivers", "helstrom,type1", "--out", str(out)]
@@ -314,3 +324,104 @@ def test_csv_line_numbers_count_metadata_lines(tmp_path):
 def test_unknown_receiver_flag_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["sweep", "--receivers", "warpdrive", "--out", "x.csv"])
+
+
+LOSSY_FLAGS = ["--eta", "0.9", "--nu", "1e-3", "--tau", "0.99", "--xi", "0.995"]
+
+#: Direct calls of the public receiver functions, one per tag.
+DIRECT = {
+    "helstrom": lambda ens, det: helstrom(ens),
+    "homodyne": lambda ens, det: homodyne_limit(ens),
+    "homodyne_tau": homodyne_limit_attenuated,
+    "kennedy": lambda ens, det: kennedy_error(ens, det).p_error,
+    "kennedy_imperfect": lambda ens, det: kennedy_error(ens, det).p_error,
+    "kennedy_raw": lambda ens, det: kennedy_raw_error(ens, det).p_error,
+    "type1": lambda ens, det: type1_error(ens, det).p_error,
+    "type2": lambda ens, det: type2_error(ens, det).p_error,
+    "type2_imperfect": lambda ens, det: type2_imperfect_error(ens, det).p_error,
+}
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+@pytest.mark.parametrize("tag", list(RECEIVERS))
+def test_sweep_rows_follow_receiver_table(tmp_path, tag, lossy):
+    out = tmp_path / "t.csv"
+    flags = LOSSY_FLAGS if lossy else []
+    rc = cli.main(["sweep", "--points", "3", "--receivers", tag, *flags, "--out", str(out)])
+    _, rows = read_csv(out)
+    if lossy and tag in ("type1", "type2"):
+        # these refuse coupling loss, so every point is omitted
+        assert rc == 2 and rows == []
+        return
+    assert rc == 0 and len(rows) == 3
+    det = DetectorModel(0.9, 1e-3, 0.99, 0.995) if lossy else DetectorModel()
+    # the row tag quirks: kennedy names its row after the coupling, and
+    # type2_imperfect at ideal coupling writes type2 rows
+    quirks = {("kennedy", True): "kennedy_imperfect", ("kennedy_imperfect", False): "kennedy",
+              ("type2_imperfect", False): "type2"}
+    for row in rows:
+        assert row.receiver == quirks.get((tag, lossy), tag)
+        kept = RECEIVERS[row.receiver].detector_cols
+        for col in ("eta", "nu", "tau", "xi"):
+            assert getattr(row, col) == (getattr(det, col) if col in kept else None), col
+        assert row.p_error == DIRECT[tag](BinaryEnsemble(math.sqrt(row.alpha_sq)), det)
+
+
+def test_montecarlo_solves_gamma_once_per_point(tmp_path, monkeypatch):
+    calls = []
+    solve = optimize._solve_gamma
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(optimize, "_solve_gamma", counting)
+    out = tmp_path / "mc.csv"
+    argv = ["montecarlo", "--points", "5", "--trials", "10", *LOSSY_FLAGS, "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(calls) == 5
+    _, rows = read_csv(out)
+    assert [r.gamma_opt for r in rows] == [solve(*c).value for c in calls]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--alpha-sq-min", "5", "--alpha-sq-max", "1"],
+        ["sweep", "--points", "1"],
+        ["sweep", "--eta", "1.5"],
+        ["sweep", "--tau", "1.5"],
+        ["sweep", "--xi", "-0.1"],
+        ["sweep", "--nu", "-1"],
+        ["sweep", "--alpha-sq-min", "-1"],
+        ["montecarlo", "--trials", "0"],
+        ["montecarlo", "--eta", "1.5"],
+        ["params", "--alpha-sq", "-1"],
+        ["params", "--alpha-sq", "0"],
+        ["params", "--alpha-sq", "1", "--eta", "1.5"],
+        ["verify-gaussian", "--alpha-sq", "-1"],
+        ["verify-gaussian", "--alpha-sq", "1", "--r-grid", ","],
+        ["verify-gaussian", "--alpha-sq", "1", "--phi-grid", "0:1:0"],
+        ["verify-gaussian", "--alpha-sq", "1", "--r-grid", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_argument_errors_exit_2_with_usage(tmp_path, capsys, argv):
+    out = tmp_path / "never.csv"
+    if argv[0] != "params":
+        argv = [*argv, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"usage: bpskrx {argv[0]}" in err
+    assert f"bpskrx {argv[0]}: error:" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--eta", "--tau"])
+def test_montecarlo_solver_failure_exit_3(tmp_path, capsys, flag):
+    out = tmp_path / "mc.csv"
+    assert cli.main(["montecarlo", "--points", "2", flag, "0", "--out", str(out)]) == 3
+    assert "error: optimizer failed:" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,0 +1,77 @@
+"""Pinned CLI output bytes.
+
+Each file below is written by the CLI and compared against a sha256 pinned
+from an earlier release of the package, so a refactor that moves a single
+digit of a CSV or a single coordinate of the SVG fails here. Two runs of the
+same code agreeing (the rerun tests in `test_cli`) cannot catch that.
+
+The digests assume the float behaviour of the platform they were captured on
+(x86-64, CPython 3.11, numpy 2.4, scipy 1.17). Regenerate them only for a
+change that is meant to alter output, and say so in the change log:
+
+    python tests/test_golden.py OUTDIR
+"""
+
+import hashlib
+import sys
+
+from bpskrx import cli
+
+ALL_TAGS = (
+    "helstrom,homodyne,homodyne_tau,kennedy,kennedy_imperfect,"
+    "kennedy_raw,type1,type2,type2_imperfect"
+)
+LOSSY = ["--eta", "0.9", "--nu", "1e-3", "--tau", "0.99", "--xi", "0.995"]
+MC = ["--points", "12", "--trials", "20000", "--seed", "7"]
+
+#: (output file, argv without --out, exit code), run in this order; plot
+#: reads the CSVs. The lossy sweep exits 2: type1 and type2 refuse coupling
+#: loss, so their points are omitted.
+RUNS = (
+    ("sweep_default.csv", ["sweep"], 0),
+    ("sweep_all_ideal.csv", ["sweep", "--receivers", ALL_TAGS], 0),
+    ("sweep_all_lossy.csv", ["sweep", "--receivers", ALL_TAGS, *LOSSY], 2),
+    ("mc_ideal.csv", ["montecarlo", *MC], 0),
+    ("mc_lossy.csv", ["montecarlo", *MC, *LOSSY], 0),
+    ("landscape.csv", ["verify-gaussian", "--alpha-sq", "0.25"], 0),
+    (
+        "figure.svg",
+        ["plot", "sweep_default.csv", "sweep_all_ideal.csv", "sweep_all_lossy.csv",
+         "mc_ideal.csv", "mc_lossy.csv"],
+        0,
+    ),
+)
+
+#: Captured with the command in the module docstring from the release before
+#: the receiver table and the shared Schur complement went in.
+GOLDEN = {
+    "sweep_default.csv": "8404ac712b584e19833678f549dfeb8e860eed33d8e670f596048346fb872294",
+    "sweep_all_ideal.csv": "b6eba81265abb77f9bf6f3df2477ff29cbb1e64a102255337686eaaff3256ce1",
+    "sweep_all_lossy.csv": "98f62ac6e364d7810864a6267445b45c6605768cbf9cc192a80a5073e0dd1d60",
+    "mc_ideal.csv": "e8d092c8df9067fea1cfd9dcd47f526717a96d696f60e879089230597c94382e",
+    "mc_lossy.csv": "e15fd7e2d00af240a05b6ae7db2a3534a3bdcc63919e9bfd3abbbd5a68a77ac4",
+    "landscape.csv": "0e77eb3bb2169852205aba2568809c8881f136820e1a45be796f2d9031966451",
+    "figure.svg": "2e6c3295873d8f1a82015b259bdab76263e81f43720ebf8487c5e8cfcc50365c",
+}
+
+
+def _run_all(outdir) -> dict[str, str]:
+    digests = {}
+    for name, argv, code in RUNS:
+        argv = [str(outdir / a) if a.endswith(".csv") else a for a in argv]
+        assert cli.main([*argv, "--out", str(outdir / name)]) == code, name
+        digests[name] = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+    return digests
+
+
+def test_cli_outputs_match_pinned_bytes(tmp_path):
+    assert _run_all(tmp_path) == GOLDEN
+
+
+if __name__ == "__main__":
+    from pathlib import Path
+
+    out = Path(sys.argv[1])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, digest in _run_all(out).items():
+        print(f'    "{name}": "{digest}",')
