@@ -119,7 +119,7 @@ def _cmd_sweep(args) -> int:
     det = _detector(args)
     rows = []
     omitted = 0
-    for alpha_sq in grid:
+    for alpha_sq in map(float, grid):
         ensemble = BinaryEnsemble(math.sqrt(alpha_sq))
         for tag in args.receivers:
             try:
@@ -130,7 +130,7 @@ def _cmd_sweep(args) -> int:
                 )
                 omitted += 1
                 continue
-            rows.append(row_from_result(float(alpha_sq), result))
+            rows.append(row_from_result(alpha_sq, result))
     write_csv(
         args.out,
         rows,

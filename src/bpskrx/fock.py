@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .core import TruncationError
 
@@ -105,6 +103,7 @@ def coherent_vector(alpha: float, dim: int, tail_tol: float = 1e-9) -> FockVecto
         amps = np.zeros(dim)
         amps[0] = 1.0
         return FockVector(amps, dim, 0.0)
+    from scipy.special import gammaln
     m = np.arange(dim)
     log_mag = -0.5 * alpha * alpha + m * math.log(abs(alpha)) - 0.5 * gammaln(m + 1.0)
     amps = np.exp(log_mag)
@@ -122,6 +121,7 @@ def _ladder(dim: int) -> np.ndarray:
 def _padded_unitary(generator: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
     """expm of an antihermitian generator; returns the dim x dim cut and the
     unitarity defect of the full padded matrix."""
+    from scipy.linalg import expm
     u_full = expm(generator)
     defect = float(np.abs(u_full.conj().T @ u_full - np.eye(u_full.shape[0])).max())
     return u_full[:dim, :dim], defect

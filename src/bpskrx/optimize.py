@@ -10,10 +10,10 @@ on the binary coherent ensemble.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .core import (
     BracketError,
@@ -66,14 +66,15 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResu
     doubling the interval width, at most 60 times. Exact zeros at either
     endpoint are returned immediately. The bracketed solve itself is Brent's
     method (bisection/secant/inverse-quadratic hybrid, guaranteed bracket
-    shrinkage).
+    shrinkage), `_brentq`.
 
     Raises
     ------
     BracketError
         If no sign change is found after the expansions.
     ConvergenceError
-        If the returned point fails ``|f(root)| < tol``.
+        If ``f`` returns NaN, Brent's method runs out of its 100
+        iterations, or the returned point fails ``|f(root)| < tol``.
     """
     flo = f(lo)
     if flo == 0.0:
@@ -92,13 +93,67 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResu
         if fhi == 0.0:
             return RootResult(hi, 0.0, expansions, (hi, hi))
         expansions += 1
-    root, info = brentq(f, lo, hi, xtol=1e-15, full_output=True)
+    root, iterations = _brentq(f, lo, hi)
     residual = abs(f(root))
     if residual >= tol:
         raise ConvergenceError(
             f"root residual {residual:.3e} exceeds tolerance {tol:.3e}", best=root
         )
-    return RootResult(float(root), residual, int(info.iterations), (lo, hi))
+    return RootResult(float(root), residual, iterations, (lo, hi))
+
+
+def _brentq(f, xa: float, xb: float, maxiter: int = 100):
+    """Brent's method on a sign-changing bracket; returns (root, iterations).
+
+    A line-for-line port of ``brentq.c`` in SciPy (BSD-3-Clause, Copyright
+    (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers), so it
+    returns the root and iteration count of ``scipy.optimize.brentq(f, xa,
+    xb, xtol=1e-15)`` (its default rtol = 4 eps). Where SciPy raises on a
+    NaN from ``f`` or after ``maxiter`` iterations, this raises
+    `ConvergenceError` with the last finite iterate in ``best`` (None for a
+    NaN at an end). ``< 0`` on nonzero non-NaN values is C's signbit.
+    """
+    xtol, rtol = 1e-15, 4.0 * sys.float_info.epsilon
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre != fpre or fcur != fcur:
+        raise ConvergenceError(f"f is NaN at an end of [{xa}, {xb}]")
+    if fpre == 0.0 or fcur == 0.0:
+        return (xpre if fpre == 0.0 else xcur), 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError(f"f({xa}) and f({xb}) have the same sign")
+    for i in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, i
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; a zero divisor makes C's step inf or NaN
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ConvergenceError(f"f({xcur!r}) is NaN", best=xpre)
+    raise ConvergenceError(f"no convergence after {maxiter} iterations", best=xcur)
 
 
 def displaced_squeezed_error(
@@ -298,6 +353,8 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
     if not candidates:
         # Fallback referee: exact beta(r) from the first residual, scalar
         # minimization of the error over r, then one polishing Newton run.
+        from scipy.optimize import minimize_scalar
+
         def profile(r):
             return displaced_squeezed_error(alpha, _beta_given_r(alpha, r, eta), r, eta)
 

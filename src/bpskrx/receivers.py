@@ -196,10 +196,16 @@ def type1_error(
     Solves the coupled stationarity conditions for (beta_opt, r_opt) and
     evaluates the closed-form error there. Setting r = 0 in the formula
     recovers the optimized displacement receiver, so this one is never
-    worse.
+    worse. At alpha = 0 every (beta, r) gives P = 1/2, so there is no
+    optimum to report and the call raises UnsupportedConfigurationError.
     """
     _require_equal_priors(ensemble, "the squeeze-displace receiver")
     _require_ideal_coupling(detector, "the squeeze-displace receiver")
+    if ensemble.alpha == 0.0:
+        raise UnsupportedConfigurationError(
+            "the squeeze-displace receiver has no optimum at alpha = 0: "
+            "every (beta, r) gives P = 1/2"
+        )
     beta, r = solve_type1_params(ensemble.alpha, detector.eta).value
     return ReceiverResult(
         receiver="type1",

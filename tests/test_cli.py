@@ -110,6 +110,20 @@ def test_sweep_partial_failure_exit_2(tmp_path, monkeypatch, capsys):
     assert [r.receiver for r in rows] == ["helstrom"] * 3
 
 
+def test_sweep_type1_at_alpha_zero_is_omitted(tmp_path, capsys):
+    out = tmp_path / "zero.csv"
+    rc = cli.main(
+        ["sweep", "--scale", "linear", "--alpha-sq-min", "0", "--alpha-sq-max", "1",
+         "--points", "2", "--receivers", "helstrom,type1", "--out", str(out)]
+    )
+    assert rc == 2
+    assert "type1 at alpha_sq=0.0: " in capsys.readouterr().err
+    _, rows = read_csv(out)
+    assert [(r.alpha_sq, r.receiver) for r in rows] == [
+        (0.0, "helstrom"), (1.0, "helstrom"), (1.0, "type1")
+    ]
+
+
 def test_params_output(capsys):
     assert cli.main(["params", "--alpha-sq", "0.25"]) == 0
     out = capsys.readouterr().out

@@ -1,0 +1,87 @@
+"""The scipy-free ports equal scipy bitwise.
+
+`gaussian._erfc` against ``scipy.special.erfc`` and `optimize._brentq`
+against ``scipy.optimize.brentq``, compared with ``==``: the ports replace
+the scipy calls on the analytic path, so any difference would move the
+printed curves.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq
+from scipy.special import erfc
+
+from bpskrx.core import ConvergenceError
+from bpskrx.gaussian import _erfc
+from bpskrx.optimize import _brentq
+
+
+def test_erfc_equals_scipy_bitwise():
+    grid = np.logspace(-300.0, math.log10(30.0), 10_000)
+    # erf's T/U serve |x| < 1, where a wrong last digit moves few values
+    dense = np.linspace(0.0, 1.0, 100_001)
+    edge = np.linspace(26.5, 27.3, 801)  # exp(-x^2) goes subnormal, then 0
+    special = np.array([0.0, 1.0, 8.0, math.inf])
+    xs = np.concatenate([grid, dense, edge, special])
+    xs = np.concatenate([xs, -xs])
+    ours = np.array([_erfc(float(x)) for x in xs])
+    theirs = erfc(xs)
+    assert np.array_equal(ours, theirs)
+    assert np.array_equal(np.signbit(ours), np.signbit(theirs))
+    assert _erfc(-0.0) == 1.0 and math.isnan(_erfc(math.nan))
+
+
+def _gamma_condition(alpha, eta):
+    slope, target = 2.0 * eta * alpha, alpha
+    return lambda x: x * math.tanh(slope * x) - target
+
+
+def _beta_condition(alpha, eta, r):
+    g = eta + (2.0 - eta) * math.exp(-2.0 * r)
+    return lambda b: b * math.tanh(4.0 * eta * alpha * b / g) - alpha
+
+
+def _brackets():
+    """The gamma and beta conditions over an (alpha, eta, r) grid, each with a
+    sign-changing bracket found the way `find_root_bracketed` finds it."""
+    alphas = np.logspace(-3.0, 1.2, 16)
+    etas = (0.05, 0.3, 0.7, 1.0)
+    for alpha, eta in itertools.product(map(float, alphas), etas):
+        cases = [_gamma_condition(alpha, eta)]
+        cases += [_beta_condition(alpha, eta, r) for r in (-1.5, -0.3, 0.0, 0.4, 1.5)]
+        for f in cases:
+            lo, hi = 1e-12, alpha + 3.0 / math.sqrt(2.0 * eta) + 2.0
+            while f(hi) < 0.0:
+                hi = lo + 2.0 * (hi - lo)
+            yield f, lo, hi
+
+
+def test_brentq_equals_scipy_bitwise():
+    n = 0
+    for f, lo, hi in _brackets():
+        ours, iters = _brentq(f, lo, hi)
+        theirs, info = brentq(f, lo, hi, xtol=1e-15, full_output=True)
+        assert ours == theirs
+        if f(lo) != 0.0 and f(hi) != 0.0:
+            assert iters == info.iterations
+        n += 1
+    assert n == 16 * 4 * 6
+
+
+def test_brentq_nan_raises_convergence_error():
+    f = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5
+    with pytest.raises(ConvergenceError, match="NaN") as exc:
+        _brentq(f, 0.0, 1.0)
+    assert exc.value.best is not None
+
+
+def test_brentq_maxiter_raises_convergence_error():
+    f = lambda x: -1.0 if x < 1.0 / 3.0 else 1.0  # pure bisection, ~50 steps
+    with pytest.raises(ConvergenceError, match="after 5 iterations") as exc:
+        _brentq(f, 0.0, 1.0, maxiter=5)
+    assert 0.0 < exc.value.best < 1.0
+    with pytest.raises(RuntimeError):
+        brentq(f, 0.0, 1.0, xtol=1e-15, maxiter=5)
