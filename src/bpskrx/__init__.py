@@ -48,14 +48,7 @@ from .gaussian import (
     tensor,
     vacuum,
 )
-from .fock import (
-    FockOperator,
-    FockVector,
-    coherent_vector,
-    displacement_matrix,
-    receiver_error_fock,
-    squeeze_matrix,
-)
+from .fock import receiver_error_fock
 from .montecarlo import (
     McConfig,
     McEstimate,

@@ -1,154 +1,57 @@
 """Truncated number-basis oracle.
 
 Brute-force reference implementation used to cross-check every analytic
-error-probability formula in the package: coherent vectors, displacement and
-squeeze matrices built by matrix exponential, the on/off detector POVM, and
-the resulting receiver error probability.
+error-probability formula in the package: the two coherent signal states
+are displaced and squeezed in the number basis and weighted with the on/off
+detector's no-click element, giving the receiver error probability.
 
-Truncation policy: every matrix exponential is computed on ``dim + PAD``
-levels and then cut back to ``dim``. The exponential of an exactly
-antihermitian generator is unitary to machine precision at any truncation,
-so unitarity is certified on the padded matrix before the cut; the cut block
-itself cannot be unitary (columns near the edge lose probability mass to the
-discarded levels, for squeezers catastrophically so), which is why the
-certificate is attached at production time rather than re-measured on the
-block.
+Truncation policy: the coherent vectors are cut at ``dim`` levels,
+zero-padded to ``dim + PAD`` and evolved there by ``expm_multiply`` under the
+sparse displacement and squeeze generators; the detector reads the first
+``dim`` levels. The pad keeps the hard edge of the truncated generators away
+from the levels that are read. The generators are exactly antisymmetric, so
+evolution keeps the padded vector's norm: each evolved squared norm must
+match its start to 1e-8, or the evaluation raises `TruncationError`. The
+mass left in the pad levels is not a gate: at a settled truncation it
+reaches 4e-3 at alpha = 3, |beta| = 0.8, r = 1.5 while the error probability
+still matches the closed form to 2e-15, because the detector weights decay
+with photon number. Convergence is judged by the adaptive search in
+`receiver_error_fock`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import TruncationError
 
-__all__ = [
-    "FockVector",
-    "FockOperator",
-    "PAD",
-    "coherent_vector",
-    "displacement_matrix",
-    "squeeze_matrix",
-    "receiver_error_fock",
-]
+__all__ = ["PAD", "receiver_error_fock"]
 
-#: Extra levels used for matrix exponentials before truncating back.
+#: Extra levels the vectors are evolved on before the detector reads them.
 PAD = 20
 
 #: Hard ceiling for the adaptive truncation search.
 DIM_CAP = 512
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """State vector in the number basis.
+def _coherent_amps(alpha: float, dim: int) -> np.ndarray:
+    """Number-basis amplitudes ``exp(-alpha^2/2) alpha^m / sqrt(m!)`` of the
+    coherent state of real amplitude ``alpha``, for ``m < dim``.
 
-    ``tail_bound`` is the reported norm deficit ``1 - sum |c_m|^2``;
-    ``tail_warning`` is set when it exceeds the tolerance the caller asked
-    for at construction.
+    Evaluated in log space so large ``m`` does not overflow.
     """
-
-    amps: np.ndarray
-    dim: int
-    tail_bound: float
-    tail_warning: bool = False
-
-    def __post_init__(self):
-        amps = np.array(self.amps, dtype=complex)
-        if amps.shape != (self.dim,):
-            raise ValueError(f"amplitude vector shape {amps.shape}, dim {self.dim}")
-        norm_sq = float(np.vdot(amps, amps).real)
-        if norm_sq > 1.0 + 1e-12:
-            raise ValueError(f"norm^2 = {norm_sq} exceeds 1")
-        if self.tail_bound < -1e-12:
-            raise ValueError(f"tail bound {self.tail_bound} is negative")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-
-
-@dataclass(frozen=True)
-class FockOperator:
-    """Truncated unitary on the number basis.
-
-    ``unitarity_defect`` is max|U^dag U - I| measured on the padded
-    exponential before truncation and must be below 1e-8.
-    """
-
-    mat: np.ndarray
-    dim: int
-    unitarity_defect: float = 0.0
-
-    def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {mat.shape}, dim {self.dim}")
-        if self.unitarity_defect >= 1e-8:
-            raise ValueError(f"unitarity defect {self.unitarity_defect:.3e} exceeds 1e-8")
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-
-
-def coherent_vector(alpha: float, dim: int, tail_tol: float = 1e-9) -> FockVector:
-    """Coherent state of real amplitude ``alpha``, truncated at ``dim`` levels.
-
-    Amplitudes ``c_m = exp(-alpha^2/2) alpha^m / sqrt(m!)`` are evaluated in
-    log space so large ``m`` does not overflow. Sets ``tail_warning`` when
-    the norm deficit exceeds ``tail_tol``.
-    """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
     if alpha == 0.0:
         amps = np.zeros(dim)
         amps[0] = 1.0
-        return FockVector(amps, dim, 0.0)
-    from scipy.special import gammaln
+        return amps
     m = np.arange(dim)
-    log_mag = -0.5 * alpha * alpha + m * math.log(abs(alpha)) - 0.5 * gammaln(m + 1.0)
-    amps = np.exp(log_mag)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    amps = np.exp(-0.5 * alpha * alpha + m * math.log(abs(alpha)) - 0.5 * log_fact)
     if alpha < 0.0:
-        amps = amps * np.where(m % 2 == 0, 1.0, -1.0)
-    tail = max(0.0, 1.0 - float(amps @ amps))
-    return FockVector(amps, dim, tail, tail_warning=tail > tail_tol)
-
-
-def _ladder(dim: int) -> np.ndarray:
-    """Annihilation operator on ``dim`` levels."""
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
-
-
-def _padded_unitary(generator: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
-    """expm of an antihermitian generator; returns the dim x dim cut and the
-    unitarity defect of the full padded matrix."""
-    from scipy.linalg import expm
-    u_full = expm(generator)
-    defect = float(np.abs(u_full.conj().T @ u_full - np.eye(u_full.shape[0])).max())
-    return u_full[:dim, :dim], defect
-
-
-def displacement_matrix(beta: float, dim: int) -> FockOperator:
-    """Displacement operator ``exp(beta (adag - a))`` for real ``beta``."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    a = _ladder(dim + PAD)
-    mat, defect = _padded_unitary(beta * (a.T - a), dim)
-    return FockOperator(mat, dim, defect)
-
-
-def squeeze_matrix(r: float, dim: int) -> FockOperator:
-    """Squeeze operator ``exp(r (a^2 - adag^2) / 2)`` for real ``r``.
-
-    Matches the phase-space convention ``x -> exp(-r) x``: the x-quadrature
-    variance of ``squeeze_matrix(r) |0>`` is ``exp(-2r)``.
-    """
-    if dim < 4:
-        raise ValueError("dim must be at least 4")
-    if abs(r) > 2.0:
-        raise ValueError(f"|r| = {abs(r)} outside the oracle validity range [0, 2]")
-    a = _ladder(dim + PAD)
-    mat, defect = _padded_unitary(0.5 * r * (a @ a - a.T @ a.T), dim)
-    return FockOperator(mat, dim, defect)
+        amps[1::2] = -amps[1::2]
+    return amps
 
 
 def _off_diagonal(eta: float, nu: float, dim: int) -> np.ndarray:
@@ -162,18 +65,26 @@ def _error_at_dim(
     alpha: float, beta: float, r: float, eta: float, nu: float, dim: int
 ) -> float:
     """Single fixed-truncation evaluation of the receiver error."""
-    disp = displacement_matrix(beta, dim).mat
+    from scipy.sparse import diags_array
+    from scipy.sparse.linalg import expm_multiply
+
+    n = dim + PAD
+    a = diags_array(np.sqrt(np.arange(1.0, n)), offsets=1, format="csr")
+    psi = np.zeros((n, 2))
+    psi[:dim, 0] = _coherent_amps(alpha, dim)
+    psi[:dim, 1] = _coherent_amps(-alpha, dim)
+    start = (psi**2).sum(axis=0)
+    psi = expm_multiply(beta * (a.T - a), psi)
     if r != 0.0:
-        squeeze = squeeze_matrix(-r, dim).mat
-        u = squeeze @ disp
-    else:
-        u = disp
-    weights = _off_diagonal(eta, nu, dim)
-    psi_plus = u @ coherent_vector(alpha, dim).amps
-    psi_minus = u @ coherent_vector(-alpha, dim).amps
-    p_off_plus = float(weights @ np.abs(psi_plus) ** 2)
-    p_off_minus = float(weights @ np.abs(psi_minus) ** 2)
-    return 0.5 * (p_off_plus + 1.0 - p_off_minus)
+        psi = expm_multiply(-0.5 * r * (a @ a - a.T @ a.T), psi)
+    defect = float(np.abs((psi**2).sum(axis=0) - start).max())
+    if defect >= 1e-8:
+        raise TruncationError(
+            f"evolved norm^2 moved by {defect:.3e} at dim {dim} + {PAD} "
+            f"(alpha={alpha}, beta={beta}, r={r})"
+        )
+    p_off_plus, p_off_minus = _off_diagonal(eta, nu, dim) @ psi[:dim] ** 2
+    return 0.5 * (float(p_off_plus) + 1.0 - float(p_off_minus))
 
 
 def receiver_error_fock(
@@ -202,9 +113,23 @@ def receiver_error_fock(
 
     Raises
     ------
+    ValueError
+        If alpha or beta is not finite, |r| > 2 or r is not finite, eta is
+        outside [0, 1], nu is negative or not finite, or ``dim < 1``.
     TruncationError
-        If the adaptive search hits the 512-level cap without converging.
+        If the adaptive search hits the 512-level cap without converging,
+        or an evolved vector's norm drifts by 1e-8 or more.
     """
+    for name, value, ok, rule in (
+        ("alpha", alpha, math.isfinite(alpha), "finite"),
+        ("beta", beta, math.isfinite(beta), "finite"),
+        ("r", r, abs(r) <= 2.0, "finite with |r| <= 2"),
+        ("eta", eta, 0.0 <= eta <= 1.0, "in [0, 1]"),
+        ("nu", nu, 0.0 <= nu < math.inf, "finite and >= 0"),
+        ("dim", dim, dim is None or dim >= 1, ">= 1"),
+    ):
+        if not ok:
+            raise ValueError(f"{name} = {value!r} is outside the oracle domain: must be {rule}")
     if dim is not None:
         return _error_at_dim(alpha, beta, r, eta, nu, dim)
     start = math.ceil(8.0 * (abs(alpha) + abs(beta) + 1.0) ** 2 * math.exp(2.0 * abs(r)))

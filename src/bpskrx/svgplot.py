@@ -36,6 +36,15 @@ def _decades(lo: float, hi: float) -> list[int]:
     return list(range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1))
 
 
+def _decade_bounds(vals: list[float]) -> tuple[float, float]:
+    """Powers of ten around positive finite ``vals``. The exponents stay in
+    [-323, 308], where ``10.0 ** k`` neither underflows to 0.0 nor
+    overflows; subnormal errors reach 5e-324."""
+    lo = max(math.floor(math.log10(min(vals))), -323)
+    hi = min(math.ceil(math.log10(max(vals))), 308)
+    return 10.0**lo, 10.0**hi
+
+
 def _fmt_pow10(k: int) -> str:
     return f"1e{k:+03d}" if k else "1"
 
@@ -59,8 +68,8 @@ def render_svg(rows: list[CsvRow]) -> str:
     if groups:
         xs = [x for pts in groups.values() for x, _ in pts]
         ys = [y for pts in groups.values() for _, y in pts]
-        x_lo, x_hi = 10.0 ** math.floor(math.log10(min(xs))), 10.0 ** math.ceil(math.log10(max(xs)))
-        y_lo, y_hi = 10.0 ** math.floor(math.log10(min(ys))), 10.0 ** math.ceil(math.log10(max(ys)))
+        x_lo, x_hi = _decade_bounds(xs)
+        y_lo, y_hi = _decade_bounds(ys)
     else:
         x_lo, x_hi = 1e-2, 1e1
         y_lo, y_hi = 1e-10, 1.0

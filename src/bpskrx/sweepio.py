@@ -7,7 +7,8 @@ One fixed column set for every emitter (analytic sweeps, Monte Carlo runs):
 Numbers are written with ``repr``, Python's shortest round-trip decimal. A
 blank field means "this quantity does not enter that receiver's formula"
 (never NaN); each tag's entry in `receivers.RECEIVERS` lists the detector
-columns it keeps. ``std_err`` is filled only on Monte Carlo rows.
+columns it keeps. ``std_err`` is filled only on Monte Carlo rows. Every
+number is finite; the reader rejects ``inf`` and ``nan``.
 
 Metadata travels in ``#``-prefixed ``key=value`` lines before the header;
 readers skip any ``#`` line. No timestamps are written anywhere, so equal
@@ -16,6 +17,7 @@ inputs give byte-equal files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import PROVENANCES, CsvFormatError, ReceiverResult
@@ -91,17 +93,20 @@ def _parse_float(text: str, line_no: int, col: str) -> float | None:
     if text == "":
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise CsvFormatError(f"column {col!r} is not a number: {text!r}", line_no)
+    if not math.isfinite(value):
+        raise CsvFormatError(f"column {col!r} is not finite: {text!r}", line_no)
+    return value
 
 
 def read_csv(path) -> tuple[dict, list[CsvRow]]:
     """Parse a sweep CSV back into rows.
 
     Raises CsvFormatError naming the offending 1-based line on any schema
-    violation: wrong header, wrong column count, non-numeric values, blank
-    required fields, unknown receiver tags or provenance.
+    violation: wrong header, wrong column count, non-numeric or non-finite
+    values, blank required fields, unknown receiver tags or provenance.
     """
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().split("\n")

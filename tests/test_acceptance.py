@@ -42,6 +42,9 @@ from bpskrx.receivers import (
 
 FIG_DETECTOR = DetectorModel(eta=0.9, nu=1e-3, tau=0.99, xi=0.995)
 
+#: Squeezing range the closed form is checked against the number basis over.
+R_BOX = 1.5
+
 
 def _verdict(label: str, ok: bool, detail: str) -> bool:
     print(f"ACCEPTANCE {label}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -129,15 +132,16 @@ def test_optimal_displacement_limits():
 
 
 def test_closed_form_against_number_basis():
-    """50 random parameter tuples plus the optimized operating points agree
-    with the brute-force number-basis evaluation to 1e-7."""
+    """50 random parameter tuples (alpha <= 3, |r| <= R_BOX) plus the
+    optimized operating points agree with the brute-force number-basis
+    evaluation to 1e-7."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260814)
     worst = 0.0
     for _ in range(50):
-        alpha = float(rng.uniform(0.05, 2.0))
+        alpha = float(rng.uniform(0.05, 3.0))
         beta = float(rng.uniform(-0.8, 0.8))
-        r = float(rng.uniform(-0.8, 0.8))
+        r = float(rng.uniform(-R_BOX, R_BOX))
         eta = float(rng.choice([0.5, 0.9, 1.0]))
         nu = float(rng.choice([0.0, 1e-3]))
         diff = abs(

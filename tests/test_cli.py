@@ -20,6 +20,7 @@ from bpskrx.receivers import (
     type2_error,
     type2_imperfect_error,
 )
+from bpskrx.svgplot import render_svg
 from bpskrx.sweepio import CSV_HEADER, read_csv, row_from_result, write_csv
 
 
@@ -263,6 +264,21 @@ def test_plot_empty_rows_draws_axes(tmp_path):
     assert "alpha^2" in text
 
 
+def test_plot_extreme_values_keep_axes(tmp_path):
+    """A deep-tail sweep writes p_error = 5e-324, whose power of ten
+    underflows, and alpha_sq near the float maximum has one that overflows;
+    the axes stop at the last finite nonzero decade."""
+    csv = tmp_path / "deep.csv"
+    csv.write_text(
+        CSV_HEADER
+        + "\n150.0,helstrom,,,,,5e-324,,,,analytic,\n1.5e308,helstrom,,,,,1e-300,,,,analytic,\n"
+    )
+    svg = render_svg(read_csv(csv)[1])
+    assert svg.count("<polyline") == 1
+    assert ">1e-323</text>" in svg and ">1e-300</text>" in svg and ">1e+308</text>" in svg
+    assert "nan" not in svg and "inf" not in svg
+
+
 def test_plot_bad_header_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("alpha,receiver\n1.0,helstrom\n")
@@ -270,9 +286,18 @@ def test_plot_bad_header_exit_4(tmp_path, capsys):
     assert "line 1:" in capsys.readouterr().err
 
 
-def test_plot_bad_value_exit_4(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "row",
+    [
+        "abc,helstrom,,,,,0.5,,,,analytic,",
+        "1.0,helstrom,,,,,inf,,,,analytic,",
+        "1.0,helstrom,,,,,nan,,,,analytic,",
+    ],
+    ids=["abc", "inf", "nan"],
+)
+def test_plot_bad_value_exit_4(tmp_path, capsys, row):
     bad = tmp_path / "bad.csv"
-    bad.write_text(CSV_HEADER + "\nabc,helstrom,,,,,0.5,,,,analytic,\n")
+    bad.write_text(CSV_HEADER + "\n" + row + "\n")
     assert cli.main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 4
     assert "line 2:" in capsys.readouterr().err
 

@@ -1,4 +1,4 @@
-"""Number-basis brute force: operators, truncation control, the receiver oracle."""
+"""Number-basis brute force: coherent amplitudes, truncation control, the receiver oracle."""
 
 import math
 
@@ -6,79 +6,59 @@ import numpy as np
 import pytest
 
 from bpskrx.core import TruncationError
-from bpskrx.fock import (
-    _off_diagonal,
-    coherent_vector,
-    displacement_matrix,
-    receiver_error_fock,
-    squeeze_matrix,
-)
+from bpskrx.fock import _coherent_amps, _off_diagonal, receiver_error_fock
 from bpskrx.optimize import displaced_squeezed_error
 
 
 def test_coherent_vacuum():
-    v = coherent_vector(0.0, 10)
-    assert v.amps[0] == 1.0
-    assert np.abs(v.amps[1:]).max() == 0.0
-    assert v.tail_bound == 0.0 and not v.tail_warning
+    v = _coherent_amps(0.0, 10)
+    assert v[0] == 1.0
+    assert np.abs(v[1:]).max() == 0.0
 
 
 def test_coherent_mean_photon_number():
     for alpha in (0.3, 0.8, 1.2):
-        v = coherent_vector(alpha, 30)
-        n_mean = float(np.arange(30) @ np.abs(v.amps) ** 2)
+        v = _coherent_amps(alpha, 30)
+        n_mean = float(np.arange(30) @ np.abs(v) ** 2)
         assert abs(n_mean - alpha * alpha) < 1e-10
 
 
 def test_coherent_negative_amplitude_alternates_sign():
-    v = coherent_vector(-0.9, 12)
-    w = coherent_vector(0.9, 12)
+    v = _coherent_amps(-0.9, 12)
+    w = _coherent_amps(0.9, 12)
     signs = (-1.0) ** np.arange(12)
-    assert np.allclose(v.amps, signs * w.amps, atol=1e-16)
+    assert np.allclose(v, signs * w, atol=1e-16)
 
 
 def test_coherent_tail():
-    assert coherent_vector(2.0, 40).tail_bound < 1e-12
-    tiny = coherent_vector(2.0, 4)
-    assert tiny.tail_warning
-    assert tiny.tail_bound > 1e-2
+    """The norm deficit of the truncated amplitudes is the tail mass."""
+    assert 1.0 - _coherent_amps(2.0, 40) @ _coherent_amps(2.0, 40) < 1e-12
+    assert 1.0 - _coherent_amps(2.0, 4) @ _coherent_amps(2.0, 4) > 1e-2
 
 
-def test_displacement_identity_and_action():
-    assert np.array_equal(displacement_matrix(0.0, 8).mat, np.eye(8))
-    d = displacement_matrix(0.7, 40)
-    vac = np.zeros(40)
-    vac[0] = 1.0
-    assert np.abs(d.mat @ vac - coherent_vector(0.7, 40).amps).max() < 1e-9
-    assert d.unitarity_defect < 1e-8
-
-
-def test_displacement_inverse_pair():
-    """D(1) D(-1) is the identity on the faithful part of the block."""
-    prod = displacement_matrix(1.0, 60).mat @ displacement_matrix(-1.0, 60).mat
-    assert np.abs(prod[:25, :25] - np.eye(25)).max() < 1e-8
-
-
-def test_squeeze_variance():
-    assert np.array_equal(squeeze_matrix(0.0, 8).mat, np.eye(8))
-    dim = 60
-    r = 0.5
-    vac = np.zeros(dim)
-    vac[0] = 1.0
-    psi = squeeze_matrix(r, dim).mat @ vac
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
-    x = a + a.T
-    var = float(np.real(np.conj(psi) @ (x @ x) @ psi))
-    assert abs(var - math.exp(-2 * r)) < 1e-6
-    # squeezed vacuum lives on even photon numbers only
-    assert np.abs(psi[1::2]).max() == 0.0
-
-
-def test_squeeze_guard_rails():
-    with pytest.raises(ValueError):
-        squeeze_matrix(2.5, 40)
-    with pytest.raises(ValueError):
-        squeeze_matrix(0.5, 3)
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("alpha", math.nan),
+        ("alpha", math.inf),
+        ("beta", -math.inf),
+        ("r", 2.5),
+        ("r", 400.0),
+        ("r", math.nan),
+        ("eta", 1.5),
+        ("eta", -0.1),
+        ("eta", math.nan),
+        ("nu", -1.0),
+        ("nu", math.inf),
+        ("dim", 0),
+    ],
+)
+def test_receiver_error_rejects_bad_input(name, value):
+    """Out-of-domain input raises a ValueError naming the argument; |r| > 2
+    is rejected before the truncation estimate exp(2|r|) can overflow."""
+    args = {"alpha": 0.5, "beta": 0.2, "r": 0.5, "eta": 1.0, "nu": 0.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        receiver_error_fock(**args)
 
 
 def test_off_operator_values():
@@ -95,7 +75,7 @@ def test_off_operator_values():
 def test_off_operator_expectation_on_coherent():
     """<alpha| off |alpha> = exp(-nu - eta alpha^2)."""
     for eta, nu, alpha in ((1.0, 0.0, 0.8), (0.55, 0.01, 1.3), (0.9, 1e-3, 0.4)):
-        v = coherent_vector(alpha, 50).amps
+        v = _coherent_amps(alpha, 50)
         got = float(_off_diagonal(eta, nu, 50) @ np.abs(v) ** 2)
         assert abs(got - math.exp(-nu - eta * alpha * alpha)) < 1e-10
 
