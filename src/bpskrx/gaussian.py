@@ -59,12 +59,27 @@ __all__ = [
 COND_LIMIT = 1e12
 
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_OMEGAS: dict[int, np.ndarray] = {}
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form for the (x1, p1, ...) ordering."""
-    from scipy.linalg import block_diag
-    return block_diag(*([_OMEGA_1] * n_modes))
+    """Return the 2n x 2n symplectic form for the (x1, p1, ...) ordering.
+
+    Built once per mode count and shared, so the array is read-only."""
+    if n_modes not in _OMEGAS:
+        _OMEGAS[n_modes] = _block_diag([_OMEGA_1] * n_modes)
+        _OMEGAS[n_modes].setflags(write=False)
+    return _OMEGAS[n_modes]
+
+
+def _block_diag(blocks) -> np.ndarray:
+    """Direct sum of square blocks: scipy's ``block_diag``, +0.0 elsewhere."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2)
+    i = 0
+    for b in blocks:
+        out[i : i + len(b), i : i + len(b)] = b
+        i += len(b)
+    return out
 
 
 def _check_uncertainty(cov: np.ndarray, what: str, scale: float | None = None) -> None:
@@ -136,8 +151,9 @@ def coherent_state(alpha: float) -> GaussianState:
 
 def tensor(*states: GaussianState) -> GaussianState:
     """Tensor product (direct sum of covariances, concatenated displacements)."""
-    from scipy.linalg import block_diag
-    cov = block_diag(*[s.cov for s in states])
+    if not states:
+        raise ValueError("tensor needs at least one state; states is empty")
+    cov = _block_diag([s.cov for s in states])
     disp = np.concatenate([s.disp for s in states])
     return GaussianState(cov, disp)
 
@@ -285,8 +301,10 @@ class GaussianMeasurementSpec:
     @classmethod
     def homodyne_stack(cls, rs, phis, outcome=None) -> "GaussianMeasurementSpec":
         """Independent single-mode measurements on K modes."""
-        from scipy.linalg import block_diag
-        cov = block_diag(*[measurement_cov(r, p) for r, p in zip(rs, phis)])
+        blocks = [measurement_cov(r, p) for r, p in zip(rs, phis)]
+        if not blocks:
+            raise ValueError("homodyne_stack needs at least one mode; rs and phis give none")
+        cov = _block_diag(blocks)
         if outcome is None:
             outcome = np.zeros(cov.shape[0])
         return cls(cov, np.asarray(outcome, dtype=float))
@@ -578,10 +596,7 @@ def povm_from_physical_model(
         if not a.is_pure():
             raise NotPureError(float(a.symplectic_eigenvalues().max()))
 
-    from scipy.linalg import block_diag
-    l_hd = block_diag(
-        *([np.diag([math.exp(-squeeze_r), math.exp(squeeze_r)])] * n)
-    )
+    l_hd = _block_diag([np.diag([math.exp(-squeeze_r), math.exp(squeeze_r)])] * n)
     omega = symplectic_form(n)
     t = -omega @ unitary.matrix.T @ omega  # symplectic inverse of S
     tl = t @ l_hd
@@ -590,7 +605,7 @@ def povm_from_physical_model(
     t_a, t_b = t[:na, :], t[na:, :]
     d_bar = unitary.offset
 
-    g_aux = block_diag(*[a.cov for a in aux]) if aux else np.empty((0, 0))
+    g_aux = _block_diag([a.cov for a in aux])
     d_aux = np.concatenate([a.disp for a in aux]) if aux else np.empty(0)
     cov, gain, _, _ = _schur(g, na, g_aux, np.empty((2 * nb, 0)), "Gamma_aux + Gamma_B")
     linear = t_a - gain.T @ t_b

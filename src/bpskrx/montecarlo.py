@@ -89,8 +89,9 @@ def derive_point_seed(master_seed: int, index: int) -> int:
 
 
 def _stratified_plus_mask(trials: int, p_plus: float) -> np.ndarray:
-    i = np.arange(trials, dtype=float)
-    return np.floor((i + 1.0) * p_plus) > np.floor(i * p_plus)
+    f = np.arange(trials + 1, dtype=float) * p_plus
+    np.floor(f, out=f)
+    return f[1:] > f[:-1]
 
 
 def simulate_type2(config: McConfig) -> McEstimate:
@@ -109,8 +110,9 @@ def simulate_type2(config: McConfig) -> McEstimate:
     plus = _stratified_plus_mask(config.trials, ens.p_plus)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     u = rng.random(config.trials)
-    clicks = u < np.where(plus, p_on[1], p_on[-1])
-    errors = int(np.count_nonzero(clicks != plus))
+    # plus without a click, minus with one; ``<`` alone, so NaN never clicks
+    misses = np.count_nonzero(plus) - np.count_nonzero((u < p_on[1]) & plus)
+    errors = int(misses + np.count_nonzero((u < p_on[-1]) & ~plus))
     p_hat = errors / config.trials
     return McEstimate(
         p_hat=p_hat,

@@ -112,6 +112,8 @@ def render_svg(rows: list[CsvRow]) -> str:
             f'<text x="{px:.2f}" y="{_MT + px_h + 18}" font-size="11" '
             f'text-anchor="middle" font-family="monospace">{_fmt_pow10(k)}</text>'
         )
+    # A tick at every decade; labels only where k % step == 0, >= 14 px apart
+    step = max(1, math.ceil(14 * (math.log10(y_hi) - math.log10(y_lo)) / px_h))
     for k in _decades(y_lo, y_hi):
         y = 10.0**k
         if not y_lo <= y <= y_hi:
@@ -121,10 +123,11 @@ def render_svg(rows: list[CsvRow]) -> str:
             f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" '
             'stroke="black" stroke-width="1"/>'
         )
-        out.append(
-            f'<text x="{_ML - 8}" y="{py + 4:.2f}" font-size="11" '
-            f'text-anchor="end" font-family="monospace">{_fmt_pow10(k)}</text>'
-        )
+        if k % step == 0:
+            out.append(
+                f'<text x="{_ML - 8}" y="{py + 4:.2f}" font-size="11" '
+                f'text-anchor="end" font-family="monospace">{_fmt_pow10(k)}</text>'
+            )
     out.append(
         f'<text x="{_ML + px_w / 2:.2f}" y="{_H - 10}" font-size="13" '
         'text-anchor="middle" font-family="monospace">alpha^2</text>'

@@ -279,6 +279,26 @@ def test_plot_extreme_values_keep_axes(tmp_path):
     assert "nan" not in svg and "inf" not in svg
 
 
+def test_plot_deep_tail_y_labels_readable(tmp_path):
+    """The deep-tail sweep spans 64 decades down to 5e-324: every decade
+    keeps its tick, but labels are thinned to sit at least 14 px apart."""
+    csv = tmp_path / "deep.csv"
+    argv = ["sweep", "--receivers", "helstrom,kennedy", "--alpha-sq-min", "150",
+            "--alpha-sq-max", "187", "--points", "40", "--out", str(csv)]
+    assert cli.main(argv) == 0
+    rows = read_csv(csv)[1]
+    assert min(r.p_error for r in rows if r.p_error > 0.0) == 5e-324
+    svg = render_svg(rows)
+    ticks = re.findall(r'<line x1="65" y1="([-\d.]+)"', svg)
+    labels = re.findall(r'<text x="62" y="([-\d.]+)"[^>]*>1e(-\d+)</text>', svg)
+    assert len(ticks) == 64
+    assert len(labels) > 1
+    ys = sorted(float(y) for y, _ in labels)
+    assert min(b - a for a, b in zip(ys, ys[1:])) >= 14.0
+    steps = {int(b) - int(a) for (_, a), (_, b) in zip(labels, labels[1:])}
+    assert len(steps) == 1
+
+
 def test_plot_bad_header_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("alpha,receiver\n1.0,helstrom\n")

@@ -43,11 +43,11 @@ CASES = {
 }
 
 
-def _run_child(argv):
+def _run_child(argv, code=CHILD):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
     )
     assert proc.stdout, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -61,3 +61,23 @@ def test_cli_never_imports_scipy(tmp_path, name):
     rc, loaded = _run_child([a.format(tmp=tmp_path) for a in argv])
     assert rc == expected_rc
     assert loaded == []
+
+
+GAUSSIAN_CHILD = """
+import json, sys
+import numpy as np
+from bpskrx.gaussian import (
+    GaussianMeasurementSpec, random_symplectic, symplectic_form, tensor, vacuum,
+)
+random_symplectic(4, np.random.default_rng(7))
+tensor(vacuum(1), vacuum(2))
+GaussianMeasurementSpec.homodyne_stack([0.5, 1.0], [0.0, 0.3])
+symplectic_form(3)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_gaussian_construction_never_imports_scipy():
+    """Building circuits, direct sums and measurement stacks stays on numpy;
+    scipy.linalg is for the Cholesky and eigh steps only."""
+    assert _run_child([], GAUSSIAN_CHILD) == []

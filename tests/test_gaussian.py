@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import block_diag
 
 from bpskrx.core import (
     BinaryEnsemble,
@@ -16,6 +17,7 @@ from bpskrx.gaussian import (
     GaussianMeasurementSpec,
     GaussianState,
     SymplecticOp,
+    _block_diag,
     apply_gaussian_unitary,
     bayes_error_from_contrast,
     bayes_error_gaussian,
@@ -98,6 +100,35 @@ def test_random_symplectic_stays_symplectic():
         assert np.array_equal(s1.matrix, s2.matrix)
         omega = symplectic_form(n)
         assert np.abs(s1.matrix @ omega @ s1.matrix.T - omega).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symplectic_form_equals_block_diag_bitwise(n):
+    """The cached form equals scipy's direct sum, zeros' sign bits included,
+    and cannot be written through."""
+    omega = symplectic_form(n)
+    ref = block_diag(*([np.array([[0.0, 1.0], [-1.0, 0.0]])] * n))
+    assert omega.dtype == ref.dtype and np.array_equal(omega, ref)
+    assert np.array_equal(np.signbit(omega), np.signbit(ref))
+    assert symplectic_form(n) is omega
+    with pytest.raises(ValueError, match="read-only"):
+        omega[0, 1] = 2.0
+
+
+def test_block_diag_equals_scipy_bitwise():
+    rng = np.random.default_rng(5)
+    blocks = [rng.normal(size=(d, d)) for d in (2, 4, 2, 2, 4)]
+    blocks[1][0, 0] = -0.0
+    ours, ref = _block_diag(blocks), block_diag(*blocks)
+    assert ours.dtype == ref.dtype and np.array_equal(ours, ref)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+
+def test_empty_direct_sums_rejected():
+    with pytest.raises(ValueError, match="states is empty"):
+        tensor()
+    with pytest.raises(ValueError, match="rs and phis give none"):
+        GaussianMeasurementSpec.homodyne_stack([], [])
 
 
 def test_measurement_cov_det_one():

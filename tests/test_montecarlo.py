@@ -10,12 +10,13 @@ from bpskrx.montecarlo import (
     RNG_ID,
     McConfig,
     McEstimate,
+    _stratified_plus_mask,
     derive_point_seed,
     simulate_type2,
     sweep_montecarlo,
 )
 from bpskrx.optimize import solve_type2_gamma_imperfect
-from bpskrx.receivers import type2_imperfect_error
+from bpskrx.receivers import mean_intensity, type2_imperfect_error
 
 FIG4_DETECTOR = DetectorModel(eta=0.9, nu=1e-3, tau=0.99, xi=0.995)
 
@@ -134,3 +135,31 @@ def test_derive_point_seed_spreads():
     seeds = {derive_point_seed(20260814, i) for i in range(100)}
     assert len(seeds) == 100
     assert derive_point_seed(20260814, 0) == derive_point_seed(20260814, 0)
+
+
+# 100 * 0.29 rounds to 28.999999999999996: a product just below an integer
+@pytest.mark.parametrize("p_plus", [0.5, 1 / 3, 0.3, 0.77, 0.999, 0.29])
+@pytest.mark.parametrize("trials", [1, 2, 7, 10**6 + 3])
+def test_stratified_mask_equals_two_floor_formula(trials, p_plus):
+    i = np.arange(trials, dtype=float)
+    ref = np.floor((i + 1.0) * p_plus) > np.floor(i * p_plus)
+    assert np.array_equal(_stratified_plus_mask(trials, p_plus), ref)
+
+
+@pytest.mark.parametrize("gamma", [0.4, math.nan])
+def test_error_count_equals_click_comparison(gamma):
+    """p_hat equals the count of trials whose click disagrees with the sent
+    sign, the click drawn as ``u < p_on[sign]`` from the same stream; a NaN
+    gamma never clicks."""
+    det = DetectorModel(eta=0.8, nu=0.01)
+    for seed, p_plus, trials in [(1, 0.5, 10001), (2, 0.3, 777), (3, 0.77, 99999)]:
+        ens = BinaryEnsemble(0.6, p_plus, 1.0 - p_plus)
+        p_on = {s: -math.expm1(-(det.nu + det.eta * mean_intensity(s, ens, gamma, det)))
+                for s in (1, -1)}
+        i = np.arange(trials, dtype=float)
+        plus = np.floor((i + 1.0) * p_plus) > np.floor(i * p_plus)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        clicks = rng.random(trials) < np.where(plus, p_on[1], p_on[-1])
+        errors = int(np.count_nonzero(clicks != plus))
+        est = simulate_type2(McConfig(trials, seed, ens, det, gamma))
+        assert est.p_hat == errors / trials
