@@ -31,7 +31,6 @@ from .gaussian import (
     SymplecticOp,
     apply_gaussian_unitary,
     bayes_error_from_contrast,
-    bayes_error_gaussian,
     beamsplitter,
     binary_conditional_output,
     coherent_state,
@@ -70,7 +69,6 @@ from .optimize import (
     verify_gaussian_optimum,
 )
 from .receivers import (
-    DEFAULT_ALPHA_SQ_GRID,
     RECEIVERS,
     helstrom,
     homodyne_limit,
@@ -82,8 +80,5 @@ from .receivers import (
     type2_error,
     type2_imperfect_error,
 )
-
-#: Receiver tags in the table's order.
-RECEIVER_TAGS = tuple(RECEIVERS)
 
 __version__ = "0.1.0"

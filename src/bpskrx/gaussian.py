@@ -52,7 +52,6 @@ __all__ = [
     "povm_from_physical_model",
     "contrast_factor",
     "bayes_error_from_contrast",
-    "bayes_error_gaussian",
 ]
 
 #: Condition-number guard for every matrix solve in this module.
@@ -294,13 +293,11 @@ class GaussianMeasurementSpec:
         return self.outcome.shape[0] // 2
 
     @classmethod
-    def homodyne(cls, r: float, phi: float, outcome=(0.0, 0.0)) -> "GaussianMeasurementSpec":
-        """Single-mode measurement from the (r, phi) parameterization."""
-        return cls(measurement_cov(r, phi), np.asarray(outcome, dtype=float))
-
-    @classmethod
     def homodyne_stack(cls, rs, phis, outcome=None) -> "GaussianMeasurementSpec":
-        """Independent single-mode measurements on K modes."""
+        """Independent single-mode measurements on K modes; ``rs`` and
+        ``phis`` are sequences of equal length."""
+        if len(rs) != len(phis):
+            raise ValueError(f"homodyne_stack got {len(rs)} rs but {len(phis)} phis")
         blocks = [measurement_cov(r, p) for r, p in zip(rs, phis)]
         if not blocks:
             raise ValueError("homodyne_stack needs at least one mode; rs and phis give none")
@@ -716,8 +713,3 @@ def bayes_error_from_contrast(ensemble: BinaryEnsemble, e: float) -> float:
         0.5
         * (ensemble.p_plus * _erfc(arg + shift) + ensemble.p_minus * _erfc(arg - shift))
     )
-
-
-def bayes_error_gaussian(ensemble: BinaryEnsemble, r: float, phi: float) -> float:
-    """Bayes error of the (r, phi) single-mode Gaussian measurement."""
-    return bayes_error_from_contrast(ensemble, contrast_factor(r, phi))

@@ -61,6 +61,8 @@ class McConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed!r}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def simulate_type2(config: McConfig) -> McEstimate:
     plus = _stratified_plus_mask(config.trials, ens.p_plus)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     u = rng.random(config.trials)
-    # plus without a click, minus with one; ``<`` alone, so NaN never clicks
+    # plus without a click, minus with one; a trial clicks when u < p_on
     misses = np.count_nonzero(plus) - np.count_nonzero((u < p_on[1]) & plus)
     errors = int(misses + np.count_nonzero((u < p_on[-1]) & ~plus))
     p_hat = errors / config.trials

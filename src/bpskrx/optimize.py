@@ -49,8 +49,8 @@ class RootResult:
         two-parameter solver.
     residual : achieved max |f| at the solution.
     iterations : function-solve iterations spent (summed over restarts).
-    bracket : final bracketing interval for scalar solves, final Newton step
-        norm for the two-parameter solver.
+    bracket : final bracketing interval for scalar solves, the achieved
+        residual (equal to ``residual``) for the two-parameter solver.
     """
 
     value: float | tuple[float, float]
@@ -107,8 +107,8 @@ def _brentq(f, xa: float, xb: float, maxiter: int = 100):
 
     A line-for-line port of ``brentq.c`` in SciPy (BSD-3-Clause, Copyright
     (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers), so it
-    returns the root and iteration count of ``scipy.optimize.brentq(f, xa,
-    xb, xtol=1e-15)`` (its default rtol = 4 eps). Where SciPy raises on a
+    returns the root and iteration count of SciPy's ``brentq(f, xa, xb,
+    xtol=1e-15)`` (its default rtol = 4 eps). Where SciPy raises on a
     NaN from ``f`` or after ``maxiter`` iterations, this raises
     `ConvergenceError` with the last finite iterate in ``best`` (None for a
     NaN at an end). ``< 0`` on nonzero non-NaN values is C's signbit.
@@ -321,11 +321,11 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
 
     Multistart damped Newton on the cleared residual pair (starts r in
     {-0.3, 0, 0.3}, each with beta pre-solved from the first residual at
-    that r), falling back to a nested 1-D strategy (beta from the first
-    residual, scalar minimization over r) if no start converges. The
-    search box is |r| <= 1.5, beta > 0; no sign of r is assumed. The
-    winning candidate is the minimum of `displaced_squeezed_error` with
-    deterministic lexicographic tie-breaking on (P, beta, r).
+    that r). The search box is |r| <= 1.5, beta > 0; no sign of r is
+    assumed. The winning candidate is the minimum of
+    `displaced_squeezed_error` with deterministic lexicographic
+    tie-breaking on (P, beta, r). If no start converges the call raises
+    ConvergenceError with ``best=None``.
 
     The returned point is post-verified: residuals below 1e-10, a 5x5
     local stencil (spacing 1e-4) has no lower neighbor, and the r = 0
@@ -351,25 +351,7 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
             candidates.append((displaced_squeezed_error(alpha, beta, r, eta), beta, r, resid))
 
     if not candidates:
-        # Fallback referee: exact beta(r) from the first residual, scalar
-        # minimization of the error over r, then one polishing Newton run.
-        from scipy.optimize import minimize_scalar
-
-        def profile(r):
-            return displaced_squeezed_error(alpha, _beta_given_r(alpha, r, eta), r, eta)
-
-        res = minimize_scalar(profile, bounds=(-R_BOX, R_BOX), method="bounded")
-        r_f = float(res.x)
-        beta_f = _beta_given_r(alpha, r_f, eta)
-        got = _newton_2d(alpha, eta, beta_f, r_f)
-        if got is None:
-            raise ConvergenceError(
-                f"stationarity solve failed for alpha={alpha}, eta={eta}",
-                best=(beta_f, r_f),
-            )
-        beta, r, resid, iters = got
-        total_iters += iters
-        candidates.append((displaced_squeezed_error(alpha, beta, r, eta), beta, r, resid))
+        raise ConvergenceError(f"stationarity solve failed for alpha={alpha}, eta={eta}")
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     p_star, beta, r, resid = candidates[0]

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .core import (
     BinaryEnsemble,
     DetectorModel,
@@ -39,7 +37,6 @@ __all__ = [
     "BinaryEnsemble",
     "DetectorModel",
     "ReceiverResult",
-    "DEFAULT_ALPHA_SQ_GRID",
     "RECEIVERS",
     "Receiver",
     "coupled_tag",
@@ -53,9 +50,6 @@ __all__ = [
     "type2_imperfect_error",
     "mean_intensity",
 ]
-
-#: Figure-style sweep grid: alpha^2 from 1e-2 to 10, log-spaced.
-DEFAULT_ALPHA_SQ_GRID = np.logspace(-2.0, 1.0, 60)
 
 
 def _require_equal_priors(ensemble: BinaryEnsemble, what: str) -> None:

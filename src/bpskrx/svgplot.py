@@ -32,8 +32,20 @@ _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 160, 20, 50
 
 
-def _decades(lo: float, hi: float) -> list[int]:
-    return list(range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1))
+def _ticks(lo: float, hi: float, scale, length: float, gap: float):
+    """``(k, pixel, labelled)`` for each power of ten ``10**k`` in [lo, hi].
+
+    Every decade gets a tick. Labels go every ``step`` decades so they sit at
+    least ``gap`` px apart on an axis ``length`` px long, counted down from
+    the top decade, which therefore always keeps its label.
+    """
+    ks = [
+        k
+        for k in range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)
+        if lo <= 10.0**k <= hi
+    ]
+    step = max(1, math.ceil(gap * (math.log10(hi) - math.log10(lo)) / length))
+    return [(k, scale(10.0**k), (ks[-1] - k) % step == 0) for k in ks]
 
 
 def _decade_bounds(vals: list[float]) -> tuple[float, float]:
@@ -99,31 +111,22 @@ def render_svg(rows: list[CsvRow]) -> str:
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
 
-    for k in _decades(x_lo, x_hi):
-        x = 10.0**k
-        if not x_lo <= x <= x_hi:
-            continue
-        px = sx(x)
+    for k, px, labelled in _ticks(x_lo, x_hi, sx, px_w, 48):
         out.append(
             f'<line x1="{px:.2f}" y1="{_MT + px_h}" x2="{px:.2f}" '
             f'y2="{_MT + px_h + 5}" stroke="black" stroke-width="1"/>'
         )
-        out.append(
-            f'<text x="{px:.2f}" y="{_MT + px_h + 18}" font-size="11" '
-            f'text-anchor="middle" font-family="monospace">{_fmt_pow10(k)}</text>'
-        )
-    # A tick at every decade; labels only where k % step == 0, >= 14 px apart
-    step = max(1, math.ceil(14 * (math.log10(y_hi) - math.log10(y_lo)) / px_h))
-    for k in _decades(y_lo, y_hi):
-        y = 10.0**k
-        if not y_lo <= y <= y_hi:
-            continue
-        py = sy(y)
+        if labelled:
+            out.append(
+                f'<text x="{px:.2f}" y="{_MT + px_h + 18}" font-size="11" '
+                f'text-anchor="middle" font-family="monospace">{_fmt_pow10(k)}</text>'
+            )
+    for k, py, labelled in _ticks(y_lo, y_hi, sy, px_h, 14):
         out.append(
             f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" '
             'stroke="black" stroke-width="1"/>'
         )
-        if k % step == 0:
+        if labelled:
             out.append(
                 f'<text x="{_ML - 8}" y="{py + 4:.2f}" font-size="11" '
                 f'text-anchor="end" font-family="monospace">{_fmt_pow10(k)}</text>'

@@ -18,16 +18,12 @@ inputs give byte-equal files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import PROVENANCES, CsvFormatError, ReceiverResult
 from .receivers import RECEIVERS
 
 __all__ = ["CSV_HEADER", "CsvRow", "row_from_result", "write_csv", "read_csv"]
-
-CSV_HEADER = "alpha_sq,receiver,eta,nu,tau,xi,p_error,beta_opt,r_opt,gamma_opt,provenance,std_err"
-
-_FIELDS = CSV_HEADER.split(",")
 
 
 @dataclass(frozen=True)
@@ -44,6 +40,10 @@ class CsvRow:
     gamma_opt: float | None
     provenance: str
     std_err: float | None
+
+
+_FIELDS = tuple(f.name for f in fields(CsvRow))
+CSV_HEADER = ",".join(_FIELDS)
 
 
 def row_from_result(
@@ -139,26 +139,13 @@ def read_csv(path) -> tuple[dict, list[CsvRow]]:
             raise CsvFormatError(f"unknown receiver {named['receiver']!r}", idx)
         if named["provenance"] not in PROVENANCES:
             raise CsvFormatError(f"unknown provenance {named['provenance']!r}", idx)
-        alpha_sq = _parse_float(named["alpha_sq"], idx, "alpha_sq")
-        p_error = _parse_float(named["p_error"], idx, "p_error")
-        if alpha_sq is None or p_error is None:
+        values = {
+            col: text if col in ("receiver", "provenance") else _parse_float(text, idx, col)
+            for col, text in named.items()
+        }
+        if values["alpha_sq"] is None or values["p_error"] is None:
             raise CsvFormatError("alpha_sq and p_error must not be blank", idx)
-        rows.append(
-            CsvRow(
-                alpha_sq=alpha_sq,
-                receiver=named["receiver"],
-                eta=_parse_float(named["eta"], idx, "eta"),
-                nu=_parse_float(named["nu"], idx, "nu"),
-                tau=_parse_float(named["tau"], idx, "tau"),
-                xi=_parse_float(named["xi"], idx, "xi"),
-                p_error=p_error,
-                beta_opt=_parse_float(named["beta_opt"], idx, "beta_opt"),
-                r_opt=_parse_float(named["r_opt"], idx, "r_opt"),
-                gamma_opt=_parse_float(named["gamma_opt"], idx, "gamma_opt"),
-                provenance=named["provenance"],
-                std_err=_parse_float(named["std_err"], idx, "std_err"),
-            )
-        )
+        rows.append(CsvRow(**values))
     if not header_seen:
         raise CsvFormatError("no header line found", max(len(raw), 1))
     return metadata, rows

@@ -146,6 +146,13 @@ def test_params_solver_failure_exit_3(monkeypatch, capsys):
     assert "optimizer failed" in capsys.readouterr().err
 
 
+def test_params_huge_alpha_exit_3(capsys):
+    """alpha^2 = 1e308 overflows the type1 residuals at every Newton start;
+    that is an optimizer failure, not a traceback."""
+    assert cli.main(["params", "--alpha-sq", "1e308"]) == 3
+    assert "optimizer failed" in capsys.readouterr().err
+
+
 def test_verify_gaussian_pass(tmp_path, capsys):
     out = tmp_path / "landscape.csv"
     rc = cli.main(["verify-gaussian", "--alpha-sq", "0.25", "--out", str(out)])
@@ -267,7 +274,8 @@ def test_plot_empty_rows_draws_axes(tmp_path):
 def test_plot_extreme_values_keep_axes(tmp_path):
     """A deep-tail sweep writes p_error = 5e-324, whose power of ten
     underflows, and alpha_sq near the float maximum has one that overflows;
-    the axes stop at the last finite nonzero decade."""
+    the axes stop at the last finite nonzero decade. The 306 x decades keep
+    their ticks, but their labels sit at least 48 px apart."""
     csv = tmp_path / "deep.csv"
     csv.write_text(
         CSV_HEADER
@@ -277,6 +285,9 @@ def test_plot_extreme_values_keep_axes(tmp_path):
     assert svg.count("<polyline") == 1
     assert ">1e-323</text>" in svg and ">1e-300</text>" in svg and ">1e+308</text>" in svg
     assert "nan" not in svg and "inf" not in svg
+    xs = [float(x) for x in re.findall(r'<text x="([\d.]+)" y="448" font-size="11"', svg)]
+    assert len(xs) > 1
+    assert min(b - a for a, b in zip(xs, xs[1:])) >= 48.0
 
 
 def test_plot_deep_tail_y_labels_readable(tmp_path):

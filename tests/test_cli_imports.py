@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from bpskrx import RECEIVER_TAGS, cli
+from bpskrx import RECEIVERS, cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -28,10 +28,12 @@ LOSSY = ["--eta", "0.9", "--nu", "1e-3", "--tau", "0.99", "--xi", "0.995"]
 
 CASES = {
     "params": (["params", "--alpha-sq", "0.25"], 0),
+    # no Newton start converges for type1 here, so the call fails: exit 3
+    "params-low-eta": (["params", "--alpha-sq", "1", "--eta", "0.01"], 3),
     "sweep": (["sweep", "--points", "5", "--out", "{tmp}/default.csv"], 0),
     # type1 and type2 reject coupling loss, so those points are omitted: exit 2
     "sweep-all-tags-lossy": (
-        ["sweep", "--points", "5", "--receivers", ",".join(RECEIVER_TAGS), *LOSSY,
+        ["sweep", "--points", "5", "--receivers", ",".join(RECEIVERS), *LOSSY,
          "--out", "{tmp}/lossy.csv"],
         2,
     ),

@@ -20,7 +20,6 @@ from bpskrx.gaussian import (
     _block_diag,
     apply_gaussian_unitary,
     bayes_error_from_contrast,
-    bayes_error_gaussian,
     beamsplitter,
     binary_conditional_output,
     coherent_state,
@@ -131,6 +130,11 @@ def test_empty_direct_sums_rejected():
         GaussianMeasurementSpec.homodyne_stack([], [])
 
 
+def test_homodyne_stack_unequal_lengths_rejected():
+    with pytest.raises(ValueError, match="2 rs but 1 phis"):
+        GaussianMeasurementSpec.homodyne_stack([1.0, 2.0], [0.0])
+
+
 def test_measurement_cov_det_one():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -155,7 +159,7 @@ def test_condition_zero_modes_is_passthrough():
 def test_condition_product_state_leaves_kept_mode_alone():
     """Measuring an uncorrelated mode must not touch the kept one (C = 0)."""
     st = tensor(coherent_state(0.5), coherent_state(-0.3))
-    meas = GaussianMeasurementSpec.homodyne(1.0, 0.0, outcome=(0.2, -0.4))
+    meas = GaussianMeasurementSpec.homodyne_stack([1.0], [0.0], (0.2, -0.4))
     out = condition_on_partial_measurement(st, 1, meas)
     assert np.allclose(out.cov, np.eye(2), atol=1e-15)
     assert np.allclose(out.disp, st.disp[:2], atol=1e-15)
@@ -213,7 +217,7 @@ def test_binary_output_matches_direct_conditioning():
     ens = BinaryEnsemble(0.6, 0.25, 0.75)
     rng = np.random.default_rng(33)
     op = random_symplectic(2, rng)
-    meas = GaussianMeasurementSpec.homodyne(1.5, 0.0, outcome=(0.8, -0.1))
+    meas = GaussianMeasurementSpec.homodyne_stack([1.5], [0.0], (0.8, -0.1))
     out = binary_conditional_output(ens, op, meas)
     for sign, state, weight in (
         (1.0, out.state_plus, out.weight_plus),
@@ -356,7 +360,9 @@ def test_bayes_error_values():
     ens = BinaryEnsemble(1.0)
     assert bayes_error_from_contrast(ens, 1.0) == pytest.approx(0.5 * erfc(math.sqrt(2)), abs=1e-16)
     # r = 0 erases the phi dependence entirely
-    assert bayes_error_gaussian(BinaryEnsemble(0.7), 0.0, 1.3) == 0.5 * erfc(0.7 / math.sqrt(2))
+    assert bayes_error_from_contrast(BinaryEnsemble(0.7), contrast_factor(0.0, 1.3)) == 0.5 * erfc(
+        0.7 / math.sqrt(2)
+    )
     assert bayes_error_from_contrast(BinaryEnsemble(0.0, 0.7, 0.3), 1.0) == 0.3
     assert bayes_error_from_contrast(BinaryEnsemble(1.0, 1.0, 0.0), 1.0) == 0.0
     assert bayes_error_from_contrast(ens, 0.0) == 0.5
