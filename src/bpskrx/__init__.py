@@ -34,7 +34,6 @@ from .gaussian import (
     beamsplitter,
     binary_conditional_output,
     coherent_state,
-    concentrate_displacement,
     condition_on_partial_measurement,
     contrast_factor,
     measurement_cov,

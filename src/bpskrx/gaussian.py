@@ -48,7 +48,6 @@ __all__ = [
     "condition_on_partial_measurement",
     "binary_conditional_output",
     "pure_normal_form",
-    "concentrate_displacement",
     "povm_from_physical_model",
     "contrast_factor",
     "bayes_error_from_contrast",
@@ -94,6 +93,31 @@ def _check_uncertainty(cov: np.ndarray, what: str, scale: float | None = None) -
         )
 
 
+def _checked_cov(cov, what: str) -> np.ndarray:
+    """Float copy of a covariance, checked to be 2n x 2n, symmetric within
+    1e-12 and within the uncertainty relation; ``what`` names it in errors."""
+    cov = np.array(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
+        raise DimensionMismatchError(f"{what} shape {cov.shape} is not 2n x 2n")
+    if np.abs(cov - cov.T).max() > 1e-12:
+        raise ValueError(f"{what} is not symmetric within 1e-12")
+    _check_uncertainty(cov, what)
+    return cov
+
+
+def _freeze(obj, **arrays: np.ndarray) -> None:
+    """Store read-only arrays as the fields of a frozen dataclass."""
+    for name, a in arrays.items():
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
+
+
+def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
+    """Moduli of the eigenvalues of ``Omega cov``, unsorted: each symplectic
+    eigenvalue appears twice."""
+    return np.abs(np.linalg.eigvals(symplectic_form(len(cov) // 2) @ cov))
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Gaussian state: covariance matrix plus displacement vector.
@@ -110,21 +134,13 @@ class GaussianState:
     disp: np.ndarray
 
     def __post_init__(self):
-        cov = np.array(self.cov, dtype=float)
+        cov = _checked_cov(self.cov, "state covariance")
         disp = np.array(self.disp, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
-            raise DimensionMismatchError(f"covariance shape {cov.shape} is not 2n x 2n")
         if disp.shape != (cov.shape[0],):
             raise DimensionMismatchError(
                 f"displacement shape {disp.shape} does not match covariance {cov.shape}"
             )
-        if np.abs(cov - cov.T).max() > 1e-12:
-            raise ValueError("covariance is not symmetric within 1e-12")
-        _check_uncertainty(cov, "state covariance")
-        cov.setflags(write=False)
-        disp.setflags(write=False)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "disp", disp)
+        _freeze(self, cov=cov, disp=disp)
 
     @property
     def n_modes(self) -> int:
@@ -132,7 +148,7 @@ class GaussianState:
 
     def symplectic_eigenvalues(self) -> np.ndarray:
         """Sorted symplectic eigenvalues (each appears twice in the output)."""
-        return np.sort(np.abs(np.linalg.eigvals(symplectic_form(self.n_modes) @ self.cov)))
+        return np.sort(_symplectic_eigenvalues(self.cov))
 
     def is_pure(self, tol: float = 1e-6) -> bool:
         return bool(np.abs(self.symplectic_eigenvalues() - 1.0).max() <= tol)
@@ -174,26 +190,11 @@ class SymplecticOp:
         omega = symplectic_form(s.shape[0] // 2)
         if np.abs(s @ omega @ s.T - omega).max() > 1e-10:
             raise ValueError("matrix is not symplectic within 1e-10")
-        s.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "matrix", s)
-        object.__setattr__(self, "offset", d)
+        _freeze(self, matrix=s, offset=d)
 
     @property
     def n_modes(self) -> int:
         return self.offset.shape[0] // 2
-
-    @staticmethod
-    def identity(n_modes: int) -> "SymplecticOp":
-        return SymplecticOp(np.eye(2 * n_modes), np.zeros(2 * n_modes))
-
-    def compose(self, inner: "SymplecticOp") -> "SymplecticOp":
-        """Return the op that applies ``inner`` first, then ``self``."""
-        if inner.n_modes != self.n_modes:
-            raise DimensionMismatchError("cannot compose ops of different sizes")
-        return SymplecticOp(
-            self.matrix @ inner.matrix, self.matrix @ inner.offset + self.offset
-        )
 
 
 def _embed(n_modes: int, modes: tuple[int, ...], block: np.ndarray) -> np.ndarray:
@@ -236,18 +237,19 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, layers: int | None
     phase rotation on a random mode, and a squeeze with r uniform in
     [0, 1.5] on a random mode. Spans generic symplectics without Haar
     machinery; the draw order is fixed, so results are reproducible from
-    the generator state.
+    the generator state. The gate matrices are multiplied, each on the
+    left, and only the product is checked to be symplectic.
     """
     if layers is None:
         layers = 3 * n_modes
-    op = SymplecticOp.identity(n_modes)
+    s = np.eye(2 * n_modes)
     for _ in range(layers):
         if n_modes >= 2:
             i, j = rng.choice(n_modes, size=2, replace=False)
-            op = beamsplitter(rng.uniform(0.0, 2.0 * math.pi), n_modes, (int(i), int(j))).compose(op)
-        op = phase_rotation(rng.uniform(0.0, 2.0 * math.pi), n_modes, int(rng.integers(n_modes))).compose(op)
-        op = squeezer(rng.uniform(0.0, 1.5), n_modes, int(rng.integers(n_modes))).compose(op)
-    return op
+            s = beamsplitter(rng.uniform(0.0, 2.0 * math.pi), n_modes, (int(i), int(j))).matrix @ s
+        s = phase_rotation(rng.uniform(0.0, 2.0 * math.pi), n_modes, int(rng.integers(n_modes))).matrix @ s
+        s = squeezer(rng.uniform(0.0, 1.5), n_modes, int(rng.integers(n_modes))).matrix @ s
+    return SymplecticOp(s, np.zeros(2 * n_modes))
 
 
 def measurement_cov(r: float, phi: float) -> np.ndarray:
@@ -274,19 +276,12 @@ class GaussianMeasurementSpec:
 
     def __post_init__(self):
         cov = np.array(self.cov, dtype=float)
+        if cov.size:  # a zero-mode measurement has nothing to check
+            cov = _checked_cov(cov, "measurement covariance")
         outcome = np.array(self.outcome, dtype=float)
-        if cov.size:
-            if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
-                raise DimensionMismatchError(f"measurement covariance shape {cov.shape}")
-            if np.abs(cov - cov.T).max() > 1e-12:
-                raise ValueError("measurement covariance is not symmetric")
-            _check_uncertainty(cov, "measurement covariance")
         if outcome.shape != (cov.shape[0] if cov.size else 0,):
             raise DimensionMismatchError("outcome length does not match covariance")
-        cov.setflags(write=False)
-        outcome.setflags(write=False)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "outcome", outcome)
+        _freeze(self, cov=cov, outcome=outcome)
 
     @property
     def n_modes(self) -> int:
@@ -492,49 +487,14 @@ def pure_normal_form(cov: np.ndarray) -> SymplecticOp:
     """
     from scipy.linalg import eigh
     cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    nus = np.abs(np.linalg.eigvals(symplectic_form(n) @ cov))
+    nus = _symplectic_eigenvalues(cov)
     worst = nus[np.argmax(np.abs(nus - 1.0))]
     if abs(worst - 1.0) > 1e-6:
         raise NotPureError(float(worst))
     w, v = eigh(cov)
     s_d = (v / np.sqrt(w)) @ v.T
     s_d = 0.5 * (s_d + s_d.T)
-    return SymplecticOp(s_d, np.zeros(2 * n))
-
-
-def concentrate_displacement(d: np.ndarray) -> SymplecticOp:
-    """Passive (orthogonal symplectic) transform mapping ``d`` to
-    ``[||d||, 0, ..., 0]``.
-
-    Built from a complex Householder reflection on the mode amplitudes
-    ``z_k = d_{2k} + i d_{2k+1}``, phase-corrected so the image lies on the
-    positive x axis of mode 1. Leaves the identity covariance invariant.
-    ``d = 0`` returns the identity (documented convention).
-    """
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 1 or d.shape[0] % 2:
-        raise DimensionMismatchError(f"displacement shape {d.shape}")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("displacement must be finite")
-    n = d.shape[0] // 2
-    nrm = float(np.linalg.norm(d))
-    if nrm == 0.0:
-        return SymplecticOp.identity(n)
-    z = d[0::2] + 1j * d[1::2]
-    w = z / nrm
-    phase = np.exp(1j * np.angle(w[0]))
-    u = w.copy()
-    u[0] += phase
-    h = np.eye(n, dtype=complex) - 2.0 * np.outer(u, u.conj()) / float((u.conj() @ u).real)
-    uni = h.copy()
-    uni[0, :] *= -np.conj(phase)
-    s = np.zeros((2 * n, 2 * n))
-    s[0::2, 0::2] = uni.real
-    s[0::2, 1::2] = -uni.imag
-    s[1::2, 0::2] = uni.imag
-    s[1::2, 1::2] = uni.real
-    return SymplecticOp(s, np.zeros(2 * n))
+    return SymplecticOp(s_d, np.zeros(len(cov)))
 
 
 @dataclass(frozen=True)

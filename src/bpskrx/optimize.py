@@ -49,14 +49,11 @@ class RootResult:
         two-parameter solver.
     residual : achieved max |f| at the solution.
     iterations : function-solve iterations spent (summed over restarts).
-    bracket : final bracketing interval for scalar solves, the achieved
-        residual (equal to ``residual``) for the two-parameter solver.
     """
 
     value: float | tuple[float, float]
     residual: float
     iterations: int
-    bracket: tuple[float, float] | float
 
 
 def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
@@ -78,10 +75,10 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResu
     """
     flo = f(lo)
     if flo == 0.0:
-        return RootResult(lo, 0.0, 0, (lo, lo))
+        return RootResult(lo, 0.0, 0)
     fhi = f(hi)
     if fhi == 0.0:
-        return RootResult(hi, 0.0, 0, (hi, hi))
+        return RootResult(hi, 0.0, 0)
     expansions = 0
     while (flo > 0.0) == (fhi > 0.0):
         if expansions >= 60:
@@ -91,7 +88,7 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResu
         hi = lo + 2.0 * (hi - lo)
         fhi = f(hi)
         if fhi == 0.0:
-            return RootResult(hi, 0.0, expansions, (hi, hi))
+            return RootResult(hi, 0.0, expansions)
         expansions += 1
     root, iterations = _brentq(f, lo, hi)
     residual = abs(f(root))
@@ -99,7 +96,7 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResu
         raise ConvergenceError(
             f"root residual {residual:.3e} exceeds tolerance {tol:.3e}", best=root
         )
-    return RootResult(float(root), residual, iterations, (lo, hi))
+    return RootResult(float(root), residual, iterations)
 
 
 def _brentq(f, xa: float, xb: float, maxiter: int = 100):
@@ -238,7 +235,7 @@ def _solve_gamma(alpha: float, eta: float, tau: float, xi: float) -> RootResult:
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
     if alpha == 0.0:
         v = math.sqrt(math.sqrt(tau) / (2.0 * eta))
-        return RootResult(v, 0.0, 0, (v, v))
+        return RootResult(v, 0.0, 0)
     target = xi * math.sqrt(tau) * alpha
     slope = 2.0 * eta * xi * alpha
     hi = target + 1.0 / math.sqrt(2.0 * eta * xi) + 1.0
@@ -282,7 +279,7 @@ def _newton_2d(alpha: float, eta: float, beta0: float, r0: float):
     h = 1e-7
 
     def fvec(p):
-        return np.array(type1_residuals(alpha, p[0], p[1], eta))
+        return np.array(type1_residuals(alpha, float(p[0]), float(p[1]), eta))
 
     fx = fvec(x)
     for it in range(1, 81):
@@ -374,7 +371,7 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
             f"r = 0 slice beats the joint solution at alpha={alpha}, eta={eta}",
             best=(beta, r),
         )
-    return RootResult((beta, r), resid, total_iters, float(resid))
+    return RootResult((beta, r), resid, total_iters)
 
 
 @dataclass(frozen=True)

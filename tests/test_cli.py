@@ -1,7 +1,11 @@
 """End-to-end CLI runs (direct main() calls) and the CSV/SVG round trip."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,8 @@ from bpskrx.receivers import (
 )
 from bpskrx.svgplot import render_svg
 from bpskrx.sweepio import CSV_HEADER, read_csv, row_from_result, write_csv
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_sweep_matches_library_values(tmp_path):
@@ -151,6 +157,20 @@ def test_params_huge_alpha_exit_3(capsys):
     that is an optimizer failure, not a traceback."""
     assert cli.main(["params", "--alpha-sq", "1e308"]) == 3
     assert "optimizer failed" in capsys.readouterr().err
+
+
+def test_params_huge_alpha_no_warnings():
+    """The overflow at alpha^2 = 1e308 gives quiet infs in the residuals: a
+    fresh ``bpskrx params`` run, with warnings shown, prints no warning."""
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bpskrx.cli", "params", "--alpha-sq", "1e308"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert "optimizer failed" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_verify_gaussian_pass(tmp_path, capsys):
