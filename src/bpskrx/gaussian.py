@@ -84,9 +84,9 @@ def _check_uncertainty(cov: np.ndarray, what: str, scale: float | None = None) -
     """Assert cov + i*Omega >= 0: eigenvalues above -1e-10 times ``scale``
     (default: the largest |entry| of cov), or times 1 if that is larger."""
     n = cov.shape[0] // 2
-    low = np.linalg.eigvalsh(cov + 1j * symplectic_form(n)).min()
+    low = np.linalg.eigvalsh(cov + 1j * symplectic_form(n)).min(initial=0.0)
     if scale is None:
-        scale = float(np.abs(cov).max())
+        scale = float(np.abs(cov).max(initial=0.0))
     if low < -1e-10 * max(1.0, scale):
         raise ValueError(
             f"{what} violates the uncertainty relation: min eig(cov + i Omega) = {low:.3e}"
@@ -99,7 +99,7 @@ def _checked_cov(cov, what: str) -> np.ndarray:
     cov = np.array(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise DimensionMismatchError(f"{what} shape {cov.shape} is not 2n x 2n")
-    if np.abs(cov - cov.T).max() > 1e-12:
+    if np.abs(cov - cov.T).max(initial=0.0) > 1e-12:
         raise ValueError(f"{what} is not symmetric within 1e-12")
     _check_uncertainty(cov, what)
     return cov
@@ -151,7 +151,7 @@ class GaussianState:
         return np.sort(_symplectic_eigenvalues(self.cov))
 
     def is_pure(self, tol: float = 1e-6) -> bool:
-        return bool(np.abs(self.symplectic_eigenvalues() - 1.0).max() <= tol)
+        return bool(np.abs(self.symplectic_eigenvalues() - 1.0).max(initial=0.0) <= tol)
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -275,11 +275,9 @@ class GaussianMeasurementSpec:
     outcome: np.ndarray
 
     def __post_init__(self):
-        cov = np.array(self.cov, dtype=float)
-        if cov.size:  # a zero-mode measurement has nothing to check
-            cov = _checked_cov(cov, "measurement covariance")
+        cov = _checked_cov(self.cov, "measurement covariance")
         outcome = np.array(self.outcome, dtype=float)
-        if outcome.shape != (cov.shape[0] if cov.size else 0,):
+        if outcome.shape != (cov.shape[0],):
             raise DimensionMismatchError("outcome length does not match covariance")
         _freeze(self, cov=cov, outcome=outcome)
 

@@ -39,6 +39,7 @@ __all__ = [
 
 #: Search box for the squeezing parameter in the two-parameter solver.
 R_BOX = 1.5
+_ROOT_TOL = 1e-12  #: largest |f(root)| that `find_root_bracketed` accepts
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class RootResult:
     iterations: int
 
 
-def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
+def find_root_bracketed(f, lo: float, hi: float) -> RootResult:
     """Root of a scalar function with automatic bracket expansion.
 
     If ``f(lo)`` and ``f(hi)`` share a sign, the upper end is pushed out by
@@ -71,7 +72,7 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResu
         If no sign change is found after the expansions.
     ConvergenceError
         If ``f`` returns NaN, Brent's method runs out of its 100
-        iterations, or the returned point fails ``|f(root)| < tol``.
+        iterations, or the returned point fails ``|f(root)| < 1e-12``.
     """
     flo = f(lo)
     if flo == 0.0:
@@ -92,9 +93,9 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResu
         expansions += 1
     root, iterations = _brentq(f, lo, hi)
     residual = abs(f(root))
-    if residual >= tol:
+    if residual >= _ROOT_TOL:
         raise ConvergenceError(
-            f"root residual {residual:.3e} exceeds tolerance {tol:.3e}", best=root
+            f"root residual {residual:.3e} exceeds tolerance {_ROOT_TOL:.3e}", best=root
         )
     return RootResult(float(root), residual, iterations)
 
@@ -239,8 +240,7 @@ def _solve_gamma(alpha: float, eta: float, tau: float, xi: float) -> RootResult:
     target = xi * math.sqrt(tau) * alpha
     slope = 2.0 * eta * xi * alpha
     hi = target + 1.0 / math.sqrt(2.0 * eta * xi) + 1.0
-    f = lambda x: x * math.tanh(slope * x) - target
-    return find_root_bracketed(f, 1e-12, hi, tol=1e-12)
+    return find_root_bracketed(lambda x: x * math.tanh(slope * x) - target, 1e-12, hi)
 
 
 def solve_type2_gamma(alpha: float, eta: float = 1.0) -> RootResult:
@@ -269,7 +269,7 @@ def _beta_given_r(alpha: float, r: float, eta: float) -> float:
     g = eta + (2.0 - eta) * math.exp(-2.0 * r)
     f = lambda b: b * math.tanh(4.0 * eta * alpha * b / g) - alpha
     hi = alpha + 3.0 / math.sqrt(2.0 * eta) + 2.0
-    return find_root_bracketed(f, max(alpha, 1e-12), hi, tol=1e-12).value
+    return find_root_bracketed(f, max(alpha, 1e-12), hi).value
 
 
 def _newton_2d(alpha: float, eta: float, beta0: float, r0: float):
@@ -324,10 +324,10 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
     tie-breaking on (P, beta, r). If no start converges the call raises
     ConvergenceError with ``best=None``.
 
-    The returned point is post-verified: residuals below 1e-10, a 5x5
-    local stencil (spacing 1e-4) has no lower neighbor, and the r = 0
-    slice optimum is not better. Verification failure raises
-    ConvergenceError carrying the best point found.
+    Every candidate has residuals below 1e-10 (`_newton_2d` returns no
+    other). The winner is post-verified: a 5x5 local stencil (spacing
+    1e-4) has no lower neighbor, and the r = 0 slice optimum is not better.
+    Verification failure raises ConvergenceError carrying the best point.
     """
     if eta <= 0.0:
         raise UnsupportedConfigurationError("eta must be positive")
@@ -350,13 +350,7 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
     if not candidates:
         raise ConvergenceError(f"stationarity solve failed for alpha={alpha}, eta={eta}")
 
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    p_star, beta, r, resid = candidates[0]
-
-    if resid >= 1e-10:
-        raise ConvergenceError(
-            f"residual {resid:.3e} at alpha={alpha}, eta={eta}", best=(beta, r)
-        )
+    p_star, beta, r, resid = min(candidates, key=lambda c: c[:3])
     delta = 1e-4
     for i in range(-2, 3):
         for j in range(-2, 3):

@@ -52,11 +52,19 @@ __all__ = [
 ]
 
 
-def _require_equal_priors(ensemble: BinaryEnsemble, what: str) -> None:
+def _require(
+    what: str, ensemble: BinaryEnsemble, detector: DetectorModel | None = None
+) -> None:
+    """The receivers' guards: equal priors, then tau = xi = 1 if ``detector``."""
     if not ensemble.equal_priors:
         raise UnsupportedConfigurationError(
             f"{what} is defined here for equal priors only "
             f"(got p_plus={ensemble.p_plus}, p_minus={ensemble.p_minus})"
+        )
+    if detector is not None and not detector.ideal_coupling:
+        raise UnsupportedConfigurationError(
+            f"{what} assumes tau = xi = 1; use the imperfect variant "
+            f"(got tau={detector.tau}, xi={detector.xi})"
         )
 
 
@@ -74,7 +82,7 @@ def helstrom(ensemble: BinaryEnsemble) -> float:
     keeps full relative precision deep into the tail (the naive difference
     dies at ~1e-17).
     """
-    _require_equal_priors(ensemble, "the minimum-error bound")
+    _require("the minimum-error bound", ensemble)
     u = math.exp(-4.0 * ensemble.alpha**2)
     return u / (2.0 * (1.0 + math.sqrt(1.0 - u)))
 
@@ -101,9 +109,11 @@ def homodyne_limit_attenuated(ensemble: BinaryEnsemble, detector: DetectorModel)
     return bayes_error_from_contrast(attenuated, 1.0)
 
 
-def _click_error(alpha: float, gamma: float, detector: DetectorModel) -> float:
-    """Equal-prior error of a displacement receiver with nulling amplitude
-    ``gamma`` under the full detector model.
+def _click_result(
+    tag: str, ensemble: BinaryEnsemble, gamma: float, detector: DetectorModel
+) -> ReceiverResult:
+    """Row ``tag``: equal-prior error of a displacement receiver with nulling
+    amplitude ``gamma`` under the full detector model.
 
     Exponent bookkeeping: with ``a = eta (tau alpha^2 + gamma^2)`` and
     ``b = 2 eta xi sqrt(tau) alpha gamma`` (AM-GM gives b <= a),
@@ -113,12 +123,12 @@ def _click_error(alpha: float, gamma: float, detector: DetectorModel) -> float:
     which equals ``1/2 - exp(-nu - a) sinh(b)`` but never subtracts two
     nearly equal halves.
     """
+    alpha = ensemble.alpha
     eta, nu, tau, xi = detector.eta, detector.nu, detector.tau, detector.xi
     a = eta * (tau * alpha * alpha + gamma * gamma)
     b = 2.0 * eta * xi * math.sqrt(tau) * alpha * gamma
-    return 0.5 * (
-        -math.expm1(-nu) + math.exp(-nu) * (-math.expm1(b - a) + math.exp(-b - a))
-    )
+    twice_p = -math.expm1(-nu) + math.exp(-nu) * (-math.expm1(b - a) + math.exp(-b - a))
+    return ReceiverResult(tag, 0.5 * twice_p, gamma_opt=gamma, detector=detector)
 
 
 def kennedy_error(
@@ -132,14 +142,9 @@ def kennedy_error(
     ``exp(-4 alpha^2)/2`` at eta = 1, nu = 0). See `kennedy_raw_error` for
     the variant that ignores the attenuation when aiming.
     """
-    _require_equal_priors(ensemble, "the displacement receiver")
+    _require("the displacement receiver", ensemble)
     gamma = math.sqrt(detector.tau) * ensemble.alpha
-    return ReceiverResult(
-        receiver=coupled_tag("kennedy", detector),
-        p_error=_click_error(ensemble.alpha, gamma, detector),
-        gamma_opt=gamma,
-        detector=detector,
-    )
+    return _click_result(coupled_tag("kennedy", detector), ensemble, gamma, detector)
 
 
 def kennedy_raw_error(
@@ -150,21 +155,8 @@ def kennedy_raw_error(
     Uses ``gamma = alpha`` regardless of tau, the convention of a receiver
     calibrated before the loss. Coincides with `kennedy_error` at tau = 1.
     """
-    _require_equal_priors(ensemble, "the displacement receiver")
-    return ReceiverResult(
-        receiver="kennedy_raw",
-        p_error=_click_error(ensemble.alpha, ensemble.alpha, detector),
-        gamma_opt=ensemble.alpha,
-        detector=detector,
-    )
-
-
-def _require_ideal_coupling(detector: DetectorModel, what: str) -> None:
-    if not detector.ideal_coupling:
-        raise UnsupportedConfigurationError(
-            f"{what} assumes tau = xi = 1; use the imperfect variant "
-            f"(got tau={detector.tau}, xi={detector.xi})"
-        )
+    _require("the displacement receiver", ensemble)
+    return _click_result("kennedy_raw", ensemble, ensemble.alpha, detector)
 
 
 def type2_error(
@@ -178,7 +170,7 @@ def type2_error(
     non-optimized receiver and strictly below the homodyne limit. This is
     the ideal-coupling case of `type2_imperfect_error`.
     """
-    _require_ideal_coupling(detector, "the optimized displacement receiver")
+    _require("the optimized displacement receiver", ensemble, detector)
     return type2_imperfect_error(ensemble, detector)
 
 
@@ -193,8 +185,7 @@ def type1_error(
     worse. At alpha = 0 every (beta, r) gives P = 1/2, so there is no
     optimum to report and the call raises UnsupportedConfigurationError.
     """
-    _require_equal_priors(ensemble, "the squeeze-displace receiver")
-    _require_ideal_coupling(detector, "the squeeze-displace receiver")
+    _require("the squeeze-displace receiver", ensemble, detector)
     if ensemble.alpha == 0.0:
         raise UnsupportedConfigurationError(
             "the squeeze-displace receiver has no optimum at alpha = 0: "
@@ -239,14 +230,9 @@ def type2_imperfect_error(
     gamma^2)) sinh(2 eta xi sqrt(tau) alpha gamma)`` (stable form). At
     ``tau = xi = 1`` the row is tagged ``type2``.
     """
-    _require_equal_priors(ensemble, "the optimized displacement receiver")
+    _require("the optimized displacement receiver", ensemble)
     gamma = solve_type2_gamma_imperfect(ensemble.alpha, detector).value
-    return ReceiverResult(
-        receiver=coupled_tag("type2", detector),
-        p_error=_click_error(ensemble.alpha, gamma, detector),
-        gamma_opt=gamma,
-        detector=detector,
-    )
+    return _click_result(coupled_tag("type2", detector), ensemble, gamma, detector)
 
 
 class Receiver(NamedTuple):

@@ -388,6 +388,23 @@ def test_csv_rejects_unknown_tag(tmp_path):
     assert "warpdrive" in str(err.value)
 
 
+def test_csv_rejects_unknown_provenance(tmp_path):
+    path = tmp_path / "prov.csv"
+    path.write_text(CSV_HEADER + "\n0.5,helstrom,,,,,0.1,,,,guess,\n")
+    with pytest.raises(CsvFormatError, match="unknown provenance 'guess'") as err:
+        read_csv(path)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("text, line", [("", 1), ("# a=1\n", 2)], ids=["empty", "metadata-only"])
+def test_csv_rejects_missing_header(tmp_path, text, line):
+    path = tmp_path / "headless.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError, match="no header line found") as err:
+        read_csv(path)
+    assert err.value.line == line
+
+
 def test_csv_rejects_wrong_column_count(tmp_path):
     path = tmp_path / "cols.csv"
     path.write_text(CSV_HEADER + "\n0.5,helstrom,0.1\n")

@@ -75,6 +75,14 @@ def test_dimension_mismatches_rejected():
         GaussianState(np.eye(2), np.zeros(4))
     with pytest.raises(DimensionMismatchError):
         apply_gaussian_unitary(vacuum(2), squeezer(0.1, n_modes=1))
+    with pytest.raises(DimensionMismatchError, match=r"shape \(0,\) is not 2n x 2n"):
+        GaussianMeasurementSpec([], [])
+
+
+def test_zero_mode_state():
+    """The state left after measuring every mode has no modes; it is valid."""
+    st = GaussianState(np.zeros((0, 0)), np.zeros(0))
+    assert st.n_modes == 0 and st.is_pure()
 
 
 def test_uncertainty_violation_rejected():
@@ -233,22 +241,28 @@ def test_binary_output_shares_covariance_object_level():
 
 
 def test_binary_output_matches_direct_conditioning():
-    """Branches agree with conditioning the explicitly built +/- states."""
+    """Branches agree with conditioning the explicitly built +/- states,
+    also when the measurement covers every mode (nothing is kept)."""
     ens = BinaryEnsemble(0.6, 0.25, 0.75)
     rng = np.random.default_rng(33)
     op = random_symplectic(2, rng)
-    meas = GaussianMeasurementSpec.homodyne_stack([1.5], [0.0], (0.8, -0.1))
-    out = binary_conditional_output(ens, op, meas)
-    for sign, state, weight in (
-        (1.0, out.state_plus, out.weight_plus),
-        (-1.0, out.state_minus, out.weight_minus),
+    for keep, meas in (
+        (1, GaussianMeasurementSpec.homodyne_stack([1.5], [0.0], (0.8, -0.1))),
+        (0, GaussianMeasurementSpec.homodyne_stack([1.5, 0.7], [0.0, 0.4], (0.8, -0.1, 0.3, 0.2))),
     ):
-        fed = apply_gaussian_unitary(tensor(coherent_state(sign * ens.alpha), vacuum(1)), op)
-        ref = condition_on_partial_measurement(fed, 1, meas)
-        assert np.allclose(state.cov, ref.cov, atol=1e-12)
-        assert np.allclose(state.disp, ref.disp, atol=1e-12)
-        prior = ens.p_plus if sign > 0 else ens.p_minus
-        assert math.isclose(weight, prior * ref.density, rel_tol=1e-12)
+        out = binary_conditional_output(ens, op, meas)
+        assert out.shared_cov.shape == (2 * keep, 2 * keep)
+        for sign, state, weight in (
+            (1.0, out.state_plus, out.weight_plus),
+            (-1.0, out.state_minus, out.weight_minus),
+        ):
+            fed = apply_gaussian_unitary(tensor(coherent_state(sign * ens.alpha), vacuum(1)), op)
+            ref = condition_on_partial_measurement(fed, keep, meas)
+            assert np.allclose(state.cov, ref.cov, atol=1e-12)
+            assert np.allclose(state.disp, ref.disp, atol=1e-12)
+            prior = ens.p_plus if sign > 0 else ens.p_minus
+            assert weight > 0.0
+            assert math.isclose(weight, prior * ref.density, rel_tol=1e-12)
 
 
 def test_binary_output_no_measurement():

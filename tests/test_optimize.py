@@ -122,6 +122,35 @@ def test_type1_frozen_optima():
         assert res.residual < 1e-10
 
 
+def test_type1_damped_newton_step():
+    """At eta = 0.1 the starts r = -0.3 and r = 0 each accept one halved
+    Newton step; all three starts reach the optimum in 7 iterations."""
+    res = solve_type1_params(math.sqrt(0.5), 0.1)
+    beta, r = res.value
+    assert abs(beta - 0.9426332700401004) < 1e-9
+    assert abs(r - 1.1954551386485819) < 1e-9
+    assert res.iterations == 21
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        (lambda: solve_type1_params(0.5, 0.0), UnsupportedConfigurationError, "eta must be positive"),
+        (lambda: solve_type1_params(0.5, -0.1), UnsupportedConfigurationError, "eta must be positive"),
+        (lambda: solve_type1_params(0.0, 1.0), ValueError, "alpha must be > 0"),
+        (lambda: solve_type1_params(-0.5, 1.0), ValueError, "alpha must be > 0"),
+        (lambda: solve_type2_gamma(-0.5), ValueError, "alpha must be >= 0"),
+        (lambda: verify_gaussian_optimum(BinaryEnsemble(0.5), [], [0.0]), ValueError, "nonempty"),
+        (lambda: verify_gaussian_optimum(BinaryEnsemble(0.5), [1.0], []), ValueError, "nonempty"),
+    ],
+    ids=["type1-eta0", "type1-eta-neg", "type1-alpha0", "type1-alpha-neg", "type2-alpha-neg",
+         "landscape-no-r", "landscape-no-phi"],
+)
+def test_solver_input_guards(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
+
+
 def test_type1_residuals_vanish_at_optima():
     worst = 0.0
     for (alpha, eta), (beta, r, _) in TYPE1_OPTIMA.items():

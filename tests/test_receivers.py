@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from bpskrx.core import BinaryEnsemble, DetectorModel, UnsupportedConfigurationError
+from bpskrx.core import (
+    BinaryEnsemble,
+    DetectorModel,
+    ReceiverResult,
+    UnsupportedConfigurationError,
+)
 from bpskrx.fock import receiver_error_fock
 from bpskrx.receivers import (
     helstrom,
@@ -189,6 +194,39 @@ def test_coupled_loss_rejected_for_squeezing_receivers():
         type1_error(BinaryEnsemble(0.5), lossy)
     with pytest.raises(UnsupportedConfigurationError):
         type2_error(BinaryEnsemble(0.5), lossy)
+    # with unequal priors as well, the prior guard speaks first
+    for receiver in (type1_error, type2_error):
+        with pytest.raises(UnsupportedConfigurationError, match="equal priors"):
+            receiver(BinaryEnsemble(0.5, 0.4, 0.6), lossy)
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"receiver": "warpdrive"}, "unknown receiver tag 'warpdrive'"),
+        ({"provenance": "guess"}, "unknown provenance 'guess'"),
+    ],
+    ids=["tag", "provenance"],
+)
+def test_receiver_result_rejects_unknown_labels(fields, match):
+    with pytest.raises(ValueError, match=match):
+        ReceiverResult(**{"receiver": "helstrom", "p_error": 0.1, **fields})
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((-0.1,), "alpha must be finite and >= 0"),
+        ((math.nan,), "alpha must be finite and >= 0"),
+        ((0.5, 1.2, -0.2), r"p_plus must lie in \[0, 1\]"),
+        ((0.5, 0.5, 1.5), r"p_minus must lie in \[0, 1\]"),
+        ((0.5, 0.3, 0.6), "priors must sum to 1"),
+    ],
+    ids=["negative-alpha", "nan-alpha", "p_plus-range", "p_minus-range", "prior-sum"],
+)
+def test_binary_ensemble_rejects_bad_input(args, match):
+    with pytest.raises(ValueError, match=match):
+        BinaryEnsemble(*args)
 
 
 def test_mean_intensity():
