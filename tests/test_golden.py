@@ -6,14 +6,23 @@ digit of a CSV or a single coordinate of the SVG fails here. Two runs of the
 same code agreeing (the rerun tests in `test_cli`) cannot catch that.
 
 The digests assume the float behaviour of the platform they were captured on
-(x86-64, CPython 3.11, numpy 2.4, scipy 1.17). Regenerate them only for a
-change that is meant to alter output, and say so in the change log:
+(x86-64, CPython 3.11, numpy 2.4, scipy 1.17); they do not depend on the
+OpenBLAS kernel, which a second test checks by running the CLI on another
+one. Regenerate them only for a change that is meant to alter output, and say
+so in the change log:
 
     python tests/test_golden.py OUTDIR
 """
 
 import hashlib
+import json
+import os
+import platform
+import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from bpskrx import cli
 
@@ -68,9 +77,30 @@ def test_cli_outputs_match_pinned_bytes(tmp_path):
     assert _run_all(tmp_path) == GOLDEN
 
 
-if __name__ == "__main__":
-    from pathlib import Path
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels",
+)
+def test_cli_outputs_match_pinned_bytes_on_prescott_blas(tmp_path):
+    """The same bytes with OpenBLAS forced onto an old pre-AVX kernel, whose
+    2x2 solve rounds without fma, unlike the AVX-512 one: no pinned output
+    may go through a BLAS call whose bits depend on the kernel."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+        "from test_golden import _run_all; print(json.dumps(_run_all(Path(sys.argv[2]))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).parent), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == GOLDEN
 
+
+if __name__ == "__main__":
     out = Path(sys.argv[1])
     out.mkdir(parents=True, exist_ok=True)
     for name, digest in _run_all(out).items():

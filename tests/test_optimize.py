@@ -1,18 +1,32 @@
 """Root solves and the two receiver parameter optimizations."""
 
+import ctypes
+import functools
+import glob
+import hashlib
 import math
+import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bpskrx import optimize
 from bpskrx.core import (
     BinaryEnsemble,
     BracketError,
+    ConvergenceError,
     DetectorModel,
     UnsupportedConfigurationError,
 )
 from bpskrx.fock import receiver_error_fock
 from bpskrx.optimize import (
+    R_BOX,
+    _beta_given_r,
+    _fma,
+    _maxabs,
+    _newton_2d,
+    _solve2,
     displaced_squeezed_error,
     find_root_bracketed,
     solve_type1_params,
@@ -243,3 +257,225 @@ def test_landscape_failure_flagged():
     _, summary = verify_gaussian_optimum(ens, [0.5, 1.0], [2.0, math.pi])
     assert not summary.optimal and not summary.degenerate
     assert "not the sharp-homodyne corner" in summary.note
+
+
+# --- type1's Newton on floats: pins against the numpy version it replaced ---
+
+
+def _openblas_core():
+    """Name of the OpenBLAS kernel numpy's LAPACK runs on, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+#: `_solve2` reproduces the operation order of this kernel's dgesv; other
+#: kernels (Haswell, Prescott, ...) skip the fma and differ in the last bit.
+_BLAS_CORE = _openblas_core()
+needs_skylakex_blas = pytest.mark.skipif(
+    _BLAS_CORE != "SkylakeX",
+    reason=f"np.linalg.solve runs on OpenBLAS kernel {_BLAS_CORE!r}, not SkylakeX",
+)
+
+
+@functools.cache
+def _systems():
+    """100,000 seeded 2x2 systems with entries of either sign and magnitude
+    2^-27 .. 2^27 (about 1e-8 .. 1e8), built exactly with ldexp; every 10th
+    ties the pivot, |a21| == |a11|. Returns (systems, `_solve2` results)."""
+    rng = np.random.default_rng(20261018)
+    n = 100_000
+    mant = rng.uniform(0.5, 1.0, (n, 6))
+    expo = rng.integers(-27, 28, (n, 6))
+    sign = np.where(rng.random((n, 6)) < 0.5, -1.0, 1.0)
+    vals = sign * np.ldexp(mant, expo)
+    vals[::10, 2] = vals[::10, 0] * sign[::10, 2]
+    systems = [tuple(row) for row in vals.tolist()]
+    return systems, [_solve2(*s) for s in systems]
+
+
+def test_solve2_bits_pinned():
+    """The step's bits on every host: a sha256 over the results, captured
+    where they equal np.linalg.solve (the next test)."""
+    _, got = _systems()
+    assert all(x is not None for x in got)
+    digest = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert digest == "28dccd7b01f2f6a931ede2cd678574a20dbbc818cf9b6fa9518679587b835218"
+
+
+@needs_skylakex_blas
+def test_solve2_matches_numpy_bitwise():
+    systems, got = _systems()
+    arr = np.array(systems)
+    # the stacked solve runs the same dgesv per system as a single 2x2 call
+    want = np.linalg.solve(arr[:, :4].reshape(-1, 2, 2), arr[:, 4:, None])[:, :, 0]
+    assert np.array_equal(np.array(got), want)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        (0.0, 1.0, 0.0, 2.0, 1.0, 1.0),  # zero column: no pivot
+        (-0.0, 1.0, 0.0, 2.0, 1.0, 1.0),
+        (1.0, 3.0, 2.0, 6.0, 1.0, 1.0),  # rank one: u22 == 0
+        (0.5, 0.25, -0.5, -0.25, 1.0, 2.0),  # rank one at a pivot tie
+        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    ],
+)
+def test_solve2_singular_is_none(system):
+    a11, a12, a21, a22, b1, b2 = system
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.array([[a11, a12], [a21, a22]]), np.array([b1, b2]))
+    assert _solve2(*system) is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("pos", range(6))
+def test_solve2_non_finite_is_none(bad, pos):
+    """No step from a non-finite system. numpy's answer there depends on the
+    kernel (an infinite pivot can give a finite step), but the Newton only
+    meets such systems with a NaN residual, where every trial point fails
+    ``max|f| < NaN`` and the solve ends in None either way."""
+    system = [1.5, -0.25, 0.75, 2.0, 1.0, -3.0]
+    system[pos] = bad
+    assert _solve2(*system) is None
+
+
+def test_solve2_tie_keeps_row_order():
+    """|a21| == |a11| does not swap: the first row stays the pivot row, which
+    moves the last bit of x1 here, as in np.linalg.solve."""
+    assert _solve2(2.5, -2.76, -2.5, 0.17, -0.24, -2.63) == (1.1273513513513511, 1.1081081081081081)
+    assert _solve2(-2.5, 0.17, 2.5, -2.76, -2.63, -0.24) == (1.1273513513513513, 1.1081081081081081)
+
+
+def test_fma_is_correctly_rounded():
+    """Against exact rationals over the whole double range, subnormal and
+    overflowing results included, then IEEE 754's special cases."""
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        a, b, c = (
+            float(np.ldexp(s * m, e))
+            for s, m, e in zip(
+                rng.choice([-1.0, 1.0], 3), rng.uniform(0.5, 1.0, 3), rng.integers(-1074, 1024, 3)
+            )
+        )
+        exact = Fraction(a) * Fraction(b) + Fraction(c)
+        try:
+            want = float(exact)
+        except OverflowError:
+            want = math.inf if exact > 0 else -math.inf
+        if exact == 0:
+            want = a * b + c
+        got = _fma(a, b, c)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (a, b, c)
+    inf = math.inf
+    assert _fma(1e300, 1e300, -inf) == -inf
+    assert _fma(-1e300, 1e300, 1.0) == -inf
+    assert math.isnan(_fma(inf, 0.0, 1.0)) and math.isnan(_fma(inf, 2.0, -inf))
+    assert math.isnan(_fma(2.0, 3.0, math.nan))
+    assert math.copysign(1.0, _fma(-0.0, 1.0, -0.0)) == -1.0
+    assert math.copysign(1.0, _fma(2.0, 3.0, -6.0)) == 1.0
+    assert _fma(0.1, 10.0, -1.0) == 5.551115123125783e-17  # 0.1 * 10.0 rounds to 1.0
+
+
+def test_maxabs_propagates_nan():
+    assert _maxabs(-3.0, 2.0) == 3.0 and _maxabs(0.5, -4.0) == 4.0
+    assert math.isnan(_maxabs(math.nan, 1.0))
+    assert math.isnan(_maxabs(1.0, math.nan))
+    assert math.isnan(_maxabs(math.nan, math.inf))
+    assert math.isnan(_maxabs(math.inf, math.nan))
+
+
+def _newton_2d_numpy(alpha, eta, beta0, r0):
+    """The numpy `_newton_2d` that the float version replaced, verbatim."""
+    x = np.array([beta0, r0])
+    h = 1e-7
+
+    def fvec(p):
+        return np.array(type1_residuals(alpha, float(p[0]), float(p[1]), eta))
+
+    fx = fvec(x)
+    for it in range(1, 81):
+        norm = float(np.abs(fx).max())
+        if norm < 1e-12:
+            return float(x[0]), float(x[1]), norm, it
+        jac = np.empty((2, 2))
+        for j in range(2):
+            dp = np.zeros(2)
+            dp[j] = h
+            jac[:, j] = (fvec(x + dp) - fvec(x - dp)) / (2.0 * h)
+        try:
+            step = np.linalg.solve(jac, -fx)
+        except np.linalg.LinAlgError:
+            return None
+        lam = 1.0
+        for _ in range(25):
+            trial = x + lam * step
+            if trial[0] > 0.0 and abs(trial[1]) <= R_BOX:
+                ft = fvec(trial)
+                if np.abs(ft).max() < norm:
+                    x, fx = trial, ft
+                    break
+            lam *= 0.5
+        else:
+            return None
+        if lam * np.abs(step).max() < 1e-15 and np.abs(fx).max() > 1e-10:
+            return None
+    norm = float(np.abs(fx).max())
+    return (float(x[0]), float(x[1]), norm, 80) if norm < 1e-10 else None
+
+
+@needs_skylakex_blas
+def test_newton_2d_matches_numpy_version():
+    """Full returns, None included, on alpha^2 from 1e-6 to 1e308, densest
+    where the optimum has r != 0. Near 1e308 the residuals overflow to NaN
+    and both versions give up."""
+    exps = [-6.0 + 8.0 * i / 47 for i in range(48)]
+    exps += [2.0 + 306.0 * i / 15 for i in range(1, 16)] + [306.5, 307.0, 307.3, 307.6]
+    seen = {"tuple": 0, "none": 0, "iterated": 0}
+    with np.errstate(all="ignore"):
+        for e in exps:
+            alpha = math.sqrt(10.0**e)
+            for eta in (1.0, 0.5, 0.05, 1e-3):
+                for r0 in (-0.3, 0.0, 0.3):
+                    try:
+                        beta0 = _beta_given_r(alpha, r0, eta)
+                    except (BracketError, ConvergenceError):
+                        continue
+                    got = _newton_2d(alpha, eta, beta0, r0)
+                    assert got == _newton_2d_numpy(alpha, eta, beta0, r0), (e, eta, r0)
+                    seen["none" if got is None else "tuple"] += 1
+                    seen["iterated"] += got is not None and got[3] > 1
+    assert seen["tuple"] > 500 and seen["none"] > 200 and seen["iterated"] > 300, seen
+
+
+def test_type1_solves_r0_start_once(monkeypatch):
+    calls = []
+
+    def counted(alpha, r, eta):
+        calls.append(r)
+        return _beta_given_r(alpha, r, eta)
+
+    monkeypatch.setattr(optimize, "_beta_given_r", counted)
+    solve_type1_params(0.5, 1.0)
+    assert calls == [-0.3, 0.0, 0.3]
+
+
+def test_type1_r0_start_failure_raised_at_slice_check(monkeypatch):
+    """If beta at r = 0 cannot be solved, the other starts still run and the
+    r = 0 slice check raises that error."""
+
+    def flat_fails(alpha, r, eta):
+        if r == 0.0:
+            raise BracketError("no beta at r = 0")
+        return _beta_given_r(alpha, r, eta)
+
+    monkeypatch.setattr(optimize, "_beta_given_r", flat_fails)
+    with pytest.raises(BracketError, match="no beta at r = 0"):
+        solve_type1_params(0.5, 1.0)
