@@ -9,6 +9,8 @@ click-level Monte Carlo. The ``bpskrx`` console script exposes sweeps,
 optimizer queries, landscape verification, simulation, and SVG plotting.
 """
 
+import importlib
+
 from .core import (
     BinaryEnsemble,
     BracketError,
@@ -22,43 +24,12 @@ from .core import (
     TruncationError,
     UnsupportedConfigurationError,
 )
-from .gaussian import (
-    ConditionalOutput,
-    ConditionedState,
-    GaussianMeasurementSpec,
-    GaussianPovm,
-    GaussianState,
-    SymplecticOp,
-    apply_gaussian_unitary,
-    bayes_error_from_contrast,
-    beamsplitter,
-    binary_conditional_output,
-    coherent_state,
-    condition_on_partial_measurement,
-    contrast_factor,
-    measurement_cov,
-    phase_rotation,
-    povm_from_physical_model,
-    pure_normal_form,
-    random_symplectic,
-    squeezer,
-    symplectic_form,
-    tensor,
-    vacuum,
-)
-from .fock import receiver_error_fock
-from .montecarlo import (
-    McConfig,
-    McEstimate,
-    RNG_ID,
-    derive_point_seed,
-    simulate_type2,
-    sweep_montecarlo,
-)
 from .optimize import (
     LandscapePoint,
     LandscapeSummary,
     RootResult,
+    bayes_error_from_contrast,
+    contrast_factor,
     displaced_squeezed_error,
     find_root_bracketed,
     solve_type1_params,
@@ -81,3 +52,23 @@ from .receivers import (
 )
 
 __version__ = "0.1.0"
+
+#: Names of the layers that need numpy, resolved on first use and then cached
+#: in the module globals (PEP 562), so ``import bpskrx`` loads no numpy.
+_LAZY = {name: module for module, names in (
+    ("gaussian", """ConditionalOutput ConditionedState GaussianMeasurementSpec GaussianPovm
+        GaussianState SymplecticOp apply_gaussian_unitary beamsplitter
+        binary_conditional_output coherent_state condition_on_partial_measurement
+        measurement_cov phase_rotation povm_from_physical_model pure_normal_form
+        random_symplectic squeezer symplectic_form tensor vacuum"""),
+    ("fock", "receiver_error_fock"),
+    ("montecarlo", "McConfig McEstimate RNG_ID derive_point_seed simulate_type2 sweep_montecarlo"),
+) for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    globals()[name] = value = getattr(module, name)
+    return value

@@ -18,8 +18,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .core import (
     BinaryEnsemble,
     BracketError,
@@ -30,7 +28,6 @@ from .core import (
     TruncationError,
     UnsupportedConfigurationError,
 )
-from .montecarlo import RNG_ID, McConfig, sweep_montecarlo
 from .optimize import solve_type1_params, solve_type2_gamma, verify_gaussian_optimum
 from .receivers import RECEIVERS, coupled_tag
 from .sweepio import read_csv, row_from_result, write_csv
@@ -55,11 +52,27 @@ def _parse_receivers(text: str) -> list[str]:
     return tags
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n)`` on floats, bit for bit: point i is ``i *
+    step + lo`` with ``step = (hi - lo) / (n - 1)`` (``i / (n - 1) * (hi -
+    lo)`` if step underflows to 0), the last point is ``hi``, and one point
+    is ``0.0 * (hi - lo) + lo``."""
+    if n < 0:
+        raise ValueError(f"Number of samples, {n}, must be non-negative.")
+    delta, div = hi - lo, n - 1
+    if div <= 0:
+        return [0.0 * delta + lo] * n
+    step = delta / div
+    values = [(i / div * delta if step == 0.0 else i * step) + lo for i in range(n)]
+    values[-1] = hi
+    return values
+
+
 def _parse_grid(text: str) -> list[float]:
     """Either ``lo:hi:n`` (inclusive linear spacing) or a comma list."""
     if ":" in text:
         lo_s, hi_s, n_s = text.split(":")
-        values = [float(v) for v in np.linspace(float(lo_s), float(hi_s), int(n_s))]
+        values = _linspace(float(lo_s), float(hi_s), int(n_s))
     else:
         values = [float(part) for part in text.split(",") if part.strip()]
     if not values or not all(map(math.isfinite, values)):
@@ -76,7 +89,7 @@ def _usage(build, **kwargs):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _alpha_grid(args) -> np.ndarray:
+def _alpha_grid(args) -> list[float]:
     if not 0.0 <= args.alpha_sq_min < args.alpha_sq_max < math.inf:
         raise argparse.ArgumentTypeError(
             "need 0 <= --alpha-sq-min < --alpha-sq-max, both finite"
@@ -86,10 +99,11 @@ def _alpha_grid(args) -> np.ndarray:
     if args.scale == "log":
         if args.alpha_sq_min == 0.0:
             raise argparse.ArgumentTypeError("--scale log needs --alpha-sq-min > 0")
-        return np.logspace(
-            math.log10(args.alpha_sq_min), math.log10(args.alpha_sq_max), args.points
-        )
-    return np.linspace(args.alpha_sq_min, args.alpha_sq_max, args.points)
+        import numpy as np  # the pinned sweep bytes come from its SIMD power loop
+
+        lo, hi = math.log10(args.alpha_sq_min), math.log10(args.alpha_sq_max)
+        return np.logspace(lo, hi, args.points).tolist()
+    return _linspace(args.alpha_sq_min, args.alpha_sq_max, args.points)
 
 
 def _detector(args) -> DetectorModel:
@@ -119,7 +133,7 @@ def _cmd_sweep(args) -> int:
     det = _detector(args)
     rows = []
     omitted = 0
-    for alpha_sq in map(float, grid):
+    for alpha_sq in grid:
         ensemble = BinaryEnsemble(math.sqrt(alpha_sq))
         for tag in args.receivers:
             try:
@@ -167,13 +181,7 @@ def _cmd_verify_gaussian(args) -> int:
     if not 0.0 <= args.alpha_sq < math.inf:
         raise argparse.ArgumentTypeError(f"--alpha-sq must be >= 0, got {args.alpha_sq!r}")
     ensemble = BinaryEnsemble(math.sqrt(args.alpha_sq))
-    r_grid = args.r_grid if args.r_grid is not None else [float(k) for k in range(9)]
-    phi_grid = (
-        args.phi_grid
-        if args.phi_grid is not None
-        else [float(v) for v in np.linspace(0.0, math.pi, 7)]
-    )
-    points, summary = verify_gaussian_optimum(ensemble, r_grid, phi_grid)
+    points, summary = verify_gaussian_optimum(ensemble, args.r_grid, args.phi_grid)
     if args.out:
         lines = [
             f"# tool=bpskrx verify-gaussian",
@@ -195,6 +203,8 @@ def _cmd_verify_gaussian(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
+    from .montecarlo import RNG_ID, McConfig, sweep_montecarlo
+
     grid = _alpha_grid(args)
     det = _detector(args)
     template = _usage(
@@ -216,7 +226,7 @@ def _cmd_montecarlo(args) -> int:
         result = ReceiverResult(
             tag, est.p_hat, provenance="montecarlo", gamma_opt=est.gamma, detector=det
         )
-        rows.append(row_from_result(float(alpha_sq), result, std_err=est.std_err))
+        rows.append(row_from_result(alpha_sq, result, std_err=est.std_err))
     write_csv(
         args.out,
         rows,
@@ -274,10 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alpha-sq", type=float, required=True)
     p.add_argument(
-        "--r-grid", type=_parse_grid, default=None, help="comma list or lo:hi:n"
+        "--r-grid", type=_parse_grid, default=[float(k) for k in range(9)],
+        help="comma list or lo:hi:n",
     )
     p.add_argument(
-        "--phi-grid", type=_parse_grid, default=None, help="comma list or lo:hi:n"
+        "--phi-grid", type=_parse_grid, default=_linspace(0.0, math.pi, 7),
+        help="comma list or lo:hi:n",
     )
     p.add_argument("--out", default=None, help="optional landscape CSV path")
     p.set_defaults(func=_cmd_verify_gaussian, usage_error=p.error)

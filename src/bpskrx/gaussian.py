@@ -1,9 +1,9 @@
 """Multimode Gaussian-state algebra.
 
 Covariance-matrix representation of Gaussian states, symplectic transforms,
-partial Gaussian measurements with conditional outputs, Gaussian-POVM
-derivation from a physical homodyne model, and the Bayes error of single-mode
-Gaussian measurements on the binary coherent ensemble.
+partial Gaussian measurements with conditional outputs, and Gaussian-POVM
+derivation from a physical homodyne model, on numpy. The scalar sharpness
+factor and Bayes error of a single-mode measurement live in `optimize`.
 
 Conventions (fixed throughout the package):
 
@@ -49,8 +49,6 @@ __all__ = [
     "binary_conditional_output",
     "pure_normal_form",
     "povm_from_physical_model",
-    "contrast_factor",
-    "bayes_error_from_contrast",
 ]
 
 #: Condition-number guard for every matrix solve in this module.
@@ -571,103 +569,3 @@ def povm_from_physical_model(
     # intermediate, so the tolerance scales with that intermediate's size.
     _check_uncertainty(cov, "derived POVM covariance", float(np.abs(g).max()))
     return GaussianPovm(cov=cov, linear=linear, offset=offset)
-
-
-def contrast_factor(r: float, phi: float) -> float:
-    """Sharpness factor e(r, phi) of a single-mode Gaussian measurement.
-
-    ``e = (1 + cosh 2r + sinh 2r cos phi) / (2 (1 + cosh 2r))``, in [0, 1].
-    ``e -> 1`` for sharp x-homodyne (r -> inf, phi = 0); ``r = math.inf``
-    takes the exact limit ``(1 + cos phi)/2`` so the ideal case carries no
-    truncation artifact.
-    """
-    if math.isinf(r):
-        return 0.5 * (1.0 + math.cos(phi))
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    return (1.0 + ch + sh * math.cos(phi)) / (2.0 * (1.0 + ch))
-
-
-# cephes ndtr.c as shipped in SciPy (scipy.special, BSD-3-Clause): erfc(x) =
-# exp(-x^2) P(x)/Q(x) on 1 <= x < 8 and exp(-x^2) R(x)/S(x) beyond, erf(x) =
-# x T(x^2)/U(x^2) on |x| < 1. Highest power first; Q, S, U lead with 1.
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-#: ln(DBL_MAX); exp(-x^2) underflows past it.
-_MAXLOG = 7.09782712893383996843e2
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    """Horner evaluation in cephes order. With a leading 1 the first two
-    steps give ``x + coef[1]`` exactly, so this also serves as p1evl."""
-    ans = 0.0
-    for c in coef:
-        ans = ans * x + c
-    return ans
-
-
-def _erfc(a: float) -> float:
-    """Complementary error function, ported step for step from ``erfc`` and
-    ``erf`` in cephes ``ndtr.c`` (Stephen L. Moshier) as shipped in SciPy,
-    so it equals ``scipy.special.erfc`` bitwise. Past ``_MAXLOG`` it
-    returns 0, or 2 for negative ``a``."""
-    if a != a:
-        return math.nan
-    x = abs(a)
-    if x < 1.0:  # 1 - erf(a); erf is odd, and the sign flips exactly
-        z = a * a
-        return 1.0 - a * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-    z = -a * a
-    if z >= -_MAXLOG:
-        p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
-        y = (math.exp(z) * _polevl(x, p)) / _polevl(x, q)
-        y = 2.0 - y if a < 0 else y
-        if y != 0.0:
-            return y
-    return 2.0 if a < 0 else 0.0
-
-
-def bayes_error_from_contrast(ensemble: BinaryEnsemble, e: float) -> float:
-    """Bayesian error probability of a Gaussian measurement with sharpness e.
-
-    Equal priors give ``erfc(sqrt(2) e alpha) / 2``. General priors shift the
-    decision threshold, adding ``+- ln(p+/p-) / (4 e sqrt(2) alpha)`` inside
-    the two erfc terms. Degenerate cases: zero amplitude or ``e = 0`` carry
-    no information, so the best strategy guesses the larger prior.
-    """
-    alpha = ensemble.alpha
-    if ensemble.p_plus == 0.0 or ensemble.p_minus == 0.0:
-        return 0.0
-    if alpha == 0.0 or e <= 0.0:
-        return min(ensemble.p_plus, ensemble.p_minus)
-    arg = e * math.sqrt(2.0) * alpha
-    if ensemble.equal_priors:
-        return float(0.5 * _erfc(arg))
-    shift = math.log(ensemble.p_plus / ensemble.p_minus) / (4.0 * arg)
-    return float(
-        0.5
-        * (ensemble.p_plus * _erfc(arg + shift) + ensemble.p_minus * _erfc(arg - shift))
-    )

@@ -26,8 +26,8 @@ from .core import (
     ReceiverResult,
     UnsupportedConfigurationError,
 )
-from .gaussian import bayes_error_from_contrast
 from .optimize import (
+    bayes_error_from_contrast,
     displaced_squeezed_error,
     solve_type1_params,
     solve_type2_gamma_imperfect,

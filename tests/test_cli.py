@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bpskrx import cli, optimize
@@ -207,6 +208,68 @@ def test_verify_gaussian_grid_syntax(capsys):
     )
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_verify_gaussian_huge_r_passes(capsys):
+    # cosh(2r) overflows at r = 400; the landscape takes the r -> inf limit
+    rc = cli.main(["verify-gaussian", "--alpha-sq", "1", "--r-grid", "0,400"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "argmin at (r_max, phi=0): PASS" in out
+    assert "argmin: r=400.0 phi=0.0" in out
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [("0:1:-1", "invalid _parse_grid value: '0:1:-1'"),
+     ("0:1:0", "grid needs at least one point")],
+)
+def test_grid_point_count_errors(capsys, grid, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-gaussian", "--alpha-sq", "1", "--r-grid", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bpskrx verify-gaussian")
+    assert f"bpskrx verify-gaussian: error: argument --r-grid: {message}" in err
+
+
+def _linspace_cases():
+    """Seeded (lo, hi, n) over many magnitudes and both signs, plus the
+    edges of numpy's recipe: n <= 1, lo == hi, reversed bounds, signed
+    zeros and steps that underflow to subnormal or zero."""
+    rng = np.random.default_rng(20261018)
+    tiny = 5e-324
+    yield from [
+        (0.0, 1.0, 0), (2.0, 3.0, 1), (-0.0, 0.0, 1), (-0.0, -0.0, 1), (-0.0, -1.0, 1),
+        (0.0, -0.0, 5), (-0.0, 0.0, 5), (-0.0, -0.0, 3), (1.5, 1.5, 9), (-0.0, 1.0, 4),
+        (3.0, -2.0, 11), (0.0, 3 * tiny, 10), (0.0, 1e-320, 7), (-tiny, tiny, 40),
+        (1e-310, -1e-310, 1000), (0.0, math.pi, 7), (1e308, -1e308, 5),
+    ]
+    for _ in range(20_000):
+        lo, hi = (float(s * 10.0 ** e) for s, e in zip(
+            rng.uniform(-1.0, 1.0, 2), rng.uniform(-320.0, 308.0, 2) * (rng.random() < 0.5)
+        ))
+        kind = rng.integers(5)
+        if kind == 0:
+            hi = lo
+        elif kind == 1:
+            lo, hi = -abs(lo), abs(lo) * rng.uniform(0.0, 4.0)
+        elif kind == 2:  # subnormal bounds: the step often underflows to 0
+            lo, hi = (float(k) * tiny for k in rng.integers(-60, 61, 2))
+        yield lo, hi, int(rng.integers(0, 80))
+
+
+def test_linspace_equals_numpy_bitwise():
+    n_cases = 0
+    for lo, hi, n in _linspace_cases():
+        ours = np.array(cli._linspace(lo, hi, n), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # hi - lo = +-inf
+            theirs = np.linspace(lo, hi, n)
+        assert ours.tobytes() == theirs.tobytes(), (lo, hi, n)
+        n_cases += 1
+    assert n_cases >= 20_000
+    with pytest.raises(ValueError, match="must be non-negative"):
+        cli._linspace(0.0, 1.0, -1)
 
 
 def test_montecarlo_csv(tmp_path):

@@ -1,10 +1,14 @@
-"""The CLI runs on numpy alone: no subcommand loads scipy.
+"""What each entry point imports: no subcommand loads scipy, and
+``import bpskrx`` and the analytic subcommands load no numpy either.
 
 Each case starts a fresh interpreter, runs ``cli.main`` on a small input and
-lists the ``scipy`` modules in ``sys.modules`` afterwards. Counting modules
-instead of timing the start-up keeps the check deterministic.
+lists the ``scipy`` and ``numpy`` modules in ``sys.modules`` afterwards.
+Counting modules instead of timing the start-up keeps the check
+deterministic. The package's lazy attributes must still be the submodules'
+own objects.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -13,24 +17,33 @@ from pathlib import Path
 
 import pytest
 
+import bpskrx
 from bpskrx import RECEIVERS, cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 CHILD = """
 import json, sys
-from bpskrx import cli
-rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+import bpskrx
+rc = 0
+if sys.argv[1:]:
+    from bpskrx import cli
+    rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, *(sorted(m for m in sys.modules if m.split(".")[0] == top)
+                        for top in ("scipy", "numpy"))]))
 """
 
 LOSSY = ["--eta", "0.9", "--nu", "1e-3", "--tau", "0.99", "--xi", "0.995"]
 
 CASES = {
+    "import-bpskrx": ([], 0),
     "params": (["params", "--alpha-sq", "0.25"], 0),
     # no Newton start converges for type1 here, so the call fails: exit 3
     "params-low-eta": (["params", "--alpha-sq", "1", "--eta", "0.01"], 3),
     "sweep": (["sweep", "--points", "5", "--out", "{tmp}/default.csv"], 0),
+    "sweep-linear": (
+        ["sweep", "--points", "5", "--scale", "linear", "--out", "{tmp}/linear.csv"], 0
+    ),
     # type1 and type2 reject coupling loss, so those points are omitted: exit 2
     "sweep-all-tags-lossy": (
         ["sweep", "--points", "5", "--receivers", ",".join(RECEIVERS), *LOSSY,
@@ -60,9 +73,66 @@ def test_cli_never_imports_scipy(tmp_path, name):
     argv, expected_rc = CASES[name]
     if name == "plot":
         assert cli.main(["sweep", "--points", "5", "--out", str(tmp_path / "in.csv")]) == 0
-    rc, loaded = _run_child([a.format(tmp=tmp_path) for a in argv])
+    rc, scipy_loaded, numpy_loaded = _run_child([a.format(tmp=tmp_path) for a in argv])
     assert rc == expected_rc
-    assert loaded == []
+    assert scipy_loaded == []
+    # log-scale grids come from np.logspace, and Monte Carlo draws with numpy
+    if name not in ("sweep", "sweep-all-tags-lossy", "montecarlo"):
+        assert numpy_loaded == []
+
+
+#: Every name the package exported when it imported all its layers eagerly,
+#: by the module that defines it.
+EXPORTS = {
+    "core": (
+        "BinaryEnsemble", "BracketError", "ConvergenceError", "CsvFormatError",
+        "DetectorModel", "DimensionMismatchError", "NotPureError", "ReceiverResult",
+        "SingularMatrixError", "TruncationError", "UnsupportedConfigurationError",
+    ),
+    "gaussian": (
+        "ConditionalOutput", "ConditionedState", "GaussianMeasurementSpec",
+        "GaussianPovm", "GaussianState", "SymplecticOp", "apply_gaussian_unitary",
+        "beamsplitter", "binary_conditional_output", "coherent_state",
+        "condition_on_partial_measurement", "measurement_cov", "phase_rotation",
+        "povm_from_physical_model", "pure_normal_form", "random_symplectic",
+        "squeezer", "symplectic_form", "tensor", "vacuum",
+    ),
+    "fock": ("receiver_error_fock",),
+    "montecarlo": (
+        "McConfig", "McEstimate", "RNG_ID", "derive_point_seed", "simulate_type2",
+        "sweep_montecarlo",
+    ),
+    "optimize": (
+        "LandscapePoint", "LandscapeSummary", "RootResult", "bayes_error_from_contrast",
+        "contrast_factor", "displaced_squeezed_error", "find_root_bracketed",
+        "solve_type1_params", "solve_type2_gamma", "solve_type2_gamma_imperfect",
+        "type1_residuals", "verify_gaussian_optimum",
+    ),
+    "receivers": (
+        "RECEIVERS", "helstrom", "homodyne_limit", "homodyne_limit_attenuated",
+        "kennedy_error", "kennedy_raw_error", "mean_intensity", "type1_error",
+        "type2_error", "type2_imperfect_error",
+    ),
+}
+
+
+@pytest.mark.parametrize("module", list(EXPORTS))
+def test_package_names_are_the_submodules_objects(module):
+    sub = importlib.import_module(f"bpskrx.{module}")
+    for name in EXPORTS[module]:
+        value = getattr(bpskrx, name)
+        assert value is getattr(sub, name), name
+        assert vars(bpskrx)[name] is value  # cached after the first lookup
+    names = EXPORTS[module]
+    namespace = {}
+    exec(f"from bpskrx import {', '.join(names)}", namespace)
+    assert all(namespace[n] is getattr(sub, n) for n in names)
+
+
+def test_package_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        bpskrx.no_such_name
+    assert not hasattr(bpskrx, "erfc")
 
 
 GAUSSIAN_CHILD = """

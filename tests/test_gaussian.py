@@ -19,12 +19,10 @@ from bpskrx.gaussian import (
     SymplecticOp,
     _block_diag,
     apply_gaussian_unitary,
-    bayes_error_from_contrast,
     beamsplitter,
     binary_conditional_output,
     coherent_state,
     condition_on_partial_measurement,
-    contrast_factor,
     measurement_cov,
     phase_rotation,
     povm_from_physical_model,
@@ -35,6 +33,7 @@ from bpskrx.gaussian import (
     tensor,
     vacuum,
 )
+from bpskrx.optimize import bayes_error_from_contrast, contrast_factor
 
 
 def test_vacuum_and_coherent():

@@ -27,6 +27,8 @@ from bpskrx.optimize import (
     _maxabs,
     _newton_2d,
     _solve2,
+    bayes_error_from_contrast,
+    contrast_factor,
     displaced_squeezed_error,
     find_root_bracketed,
     solve_type1_params,
@@ -257,6 +259,43 @@ def test_landscape_failure_flagged():
     _, summary = verify_gaussian_optimum(ens, [0.5, 1.0], [2.0, math.pi])
     assert not summary.optimal and not summary.degenerate
     assert "not the sharp-homodyne corner" in summary.note
+
+
+PHIS = [0.0, 0.5, math.pi / 2, 2.0, 3.0, math.pi]
+
+
+def _contrast_formula(r, phi):
+    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    return (1.0 + ch + sh * math.cos(phi)) / (2.0 * (1.0 + ch))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+r", "-r"])
+def test_contrast_factor_signed_limit(sign):
+    """Once the formula's denominator overflows (|r| > 354.89, where it
+    would give 0 or NaN) and at r = +-inf the factor is the signed limit
+    (1 +- cos phi)/2, which the finite formula approaches."""
+    for phi in PHIS:
+        limit = 0.5 * (1.0 + sign * math.cos(phi))
+        for r in (355.0, 356.0, 400.0, 1e300, math.inf):
+            assert contrast_factor(sign * r, phi) == limit
+        assert contrast_factor(sign * 20.0, phi) == pytest.approx(limit, abs=1e-15)
+    assert contrast_factor(-math.inf, 0.0) == 0.0 == contrast_factor(-20.0, 0.0)
+
+
+def test_contrast_factor_finite_formula_unchanged():
+    """Wherever the formula's denominator is finite the result is the
+    formula's, bit for bit: the limit only fills in where it overflows."""
+    for r in [*np.linspace(-354.0, 354.0, 2001), 354.89, -354.89]:
+        for phi in PHIS:
+            assert contrast_factor(float(r), phi) == _contrast_formula(float(r), phi)
+    assert math.isnan(contrast_factor(1.0, math.nan))
+
+
+def test_landscape_huge_r_finds_corner():
+    ens = BinaryEnsemble(1.0)
+    _, summary = verify_gaussian_optimum(ens, [0.0, 400.0], [0.0, 1.0, math.pi])
+    assert summary.optimal and summary.argmin.e == 1.0
+    assert summary.argmin.p_error == bayes_error_from_contrast(ens, 1.0)
 
 
 # --- type1's Newton on floats: pins against the numpy version it replaced ---
