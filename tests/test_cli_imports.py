@@ -153,3 +153,18 @@ def test_gaussian_construction_never_imports_scipy():
     """Building circuits, direct sums and measurement stacks stays on numpy;
     scipy.linalg is for the Cholesky and eigh steps only."""
     assert _run_child([], GAUSSIAN_CHILD) == []
+
+
+FOCK_CHILD = """
+import json, sys
+from bpskrx.fock import receiver_error_fock
+receiver_error_fock(1.0, 0.5, 0.3, 0.9, 0.0)
+receiver_error_fock(1.0, 0.5, 0.3, 0.9, 0.0, dim=64)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_fock_oracle_never_imports_scipy():
+    """The number-basis oracle evolves on numpy slices: neither the adaptive
+    search nor a fixed truncation loads scipy."""
+    assert _run_child([], FOCK_CHILD) == []

@@ -1,12 +1,17 @@
-"""Number-basis brute force: coherent amplitudes, truncation control, the receiver oracle."""
+"""Number-basis brute force: coherent amplitudes, the banded propagator, truncation
+control, the receiver oracle and its sparse-`expm_multiply` reference."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse import diags_array
+from scipy.sparse.linalg import expm_multiply
 
+from bpskrx import fock
 from bpskrx.core import TruncationError
-from bpskrx.fock import _coherent_amps, _off_diagonal, receiver_error_fock
+from bpskrx.fock import PAD, _coherent_amps, _expm_action, _off_diagonal, receiver_error_fock
 from bpskrx.optimize import displaced_squeezed_error
 
 
@@ -51,11 +56,14 @@ def test_coherent_tail():
         ("nu", -1.0),
         ("nu", math.inf),
         ("dim", 0),
+        ("dim", 40.5),
+        ("dim", True),
     ],
 )
 def test_receiver_error_rejects_bad_input(name, value):
     """Out-of-domain input raises a ValueError naming the argument; |r| > 2
-    is rejected before the truncation estimate exp(2|r|) can overflow."""
+    is rejected before the truncation estimate exp(2|r|) can overflow, and a
+    truncation must be an integer, not a float or a bool."""
     args = {"alpha": 0.5, "beta": 0.2, "r": 0.5, "eta": 1.0, "nu": 0.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} = "):
         receiver_error_fock(**args)
@@ -127,3 +135,114 @@ def test_receiver_error_truncation_cap():
     that decays slowly in photon number, cannot settle and must say so."""
     with pytest.raises(TruncationError):
         receiver_error_fock(2.0, 2.0, 2.0, eta=0.01)
+
+
+def _band(k, x, n):
+    """The oracle's generator bands: displacement ``beta (a^dag - a)`` for
+    k = 1, squeeze ``(r/2) (a^dag^2 - a^2)`` for k = 2."""
+    j = np.arange(1.0, n - k + 1.0)
+    return x * np.sqrt(j) if k == 1 else 0.5 * x * np.sqrt(j * (j + 1.0))
+
+
+def _dense(c, k):
+    n = len(c) + k
+    g = np.zeros((n, n))
+    g[np.arange(k, n), np.arange(n - k)] = c
+    g[np.arange(n - k), np.arange(k, n)] = -c
+    return g
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [8, 40, 120])
+@pytest.mark.parametrize("x", [0.05, -0.05, 0.8, -0.8, 2.0, -2.0])
+def test_expm_action_matches_dense_expm(k, n, x):
+    """The banded Taylor propagator is exp(G) of the same band and keeps
+    each row's squared norm to 1e-13.
+
+    On the oracle's block, the coherent vectors of +-alpha cut at n/2, it
+    matches the dense exponential to 1e-13 relative in the inf-norm. On
+    random vectors that fill the band the bound is 1e-12: there the dense
+    exponential is itself 4e-13 off a 40-digit evaluation at k = 2, n = 40,
+    r = 2, and a Taylor series with ||G||_1 up to 240 loses about as much.
+    """
+    c = _band(k, x, n)
+    dense = scipy.linalg.expm(_dense(c, k))
+    cut = n // 2
+    block = np.zeros((2, n))
+    block[0, :cut] = _coherent_amps(1.0, cut)
+    block[1, :cut] = _coherent_amps(-1.0, cut)
+    noise = np.random.default_rng(n + 10 * k).standard_normal((2, n))
+    for psi, bound in ((block, 1e-13), (noise, 1e-12)):
+        got = _expm_action(c, k, psi)
+        want = psi @ dense.T
+        assert np.abs(got - want).sum(axis=0).max() <= bound * np.abs(want).sum(axis=0).max()
+        start = (psi**2).sum(axis=1)
+        assert np.abs((got**2).sum(axis=1) / start - 1.0).max() < 1e-13
+
+
+def _sparse_error_at_dim(alpha, beta, r, eta, nu, dim):
+    """The oracle's fixed-truncation step as it was on scipy's sparse
+    ``expm_multiply``, kept as an independent reference."""
+    n = dim + PAD
+    a = diags_array(np.sqrt(np.arange(1.0, n)), offsets=1, format="csr")
+    psi = np.zeros((n, 2))
+    psi[:dim, 0] = _coherent_amps(alpha, dim)
+    psi[:dim, 1] = _coherent_amps(-alpha, dim)
+    start = (psi**2).sum(axis=0)
+    psi = expm_multiply(beta * (a.T - a), psi)
+    if r != 0.0:
+        psi = expm_multiply(-0.5 * r * (a @ a - a.T @ a.T), psi)
+    defect = float(np.abs((psi**2).sum(axis=0) - start).max())
+    if defect >= 1e-8:
+        raise TruncationError(f"evolved norm^2 moved by {defect:.3e}")
+    p_off_plus, p_off_minus = _off_diagonal(eta, nu, dim) @ psi[:dim] ** 2
+    return 0.5 * (float(p_off_plus) + 1.0 - float(p_off_minus))
+
+
+def _outcome(args):
+    try:
+        return receiver_error_fock(*args)
+    except TruncationError:
+        return "TruncationError"
+
+
+def test_oracle_matches_sparse_expm_multiply(monkeypatch):
+    """On 64 seeded inputs of the cross-check box, and on two that cannot
+    settle, the banded propagator gives the sparse evaluation's values to
+    1e-14 and raises on exactly the same inputs."""
+    rng = np.random.default_rng(5151)
+    inputs = [
+        (rng.uniform(0.05, 2.0), rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8),
+         float(rng.choice([0.5, 0.9, 1.0])), float(rng.choice([0.0, 1e-3])))
+        for _ in range(64)
+    ] + [(2.0, 2.0, 2.0, 0.01, 0.0), (3.0, -2.0, 1.9, 0.0, 0.0)]
+    banded = [_outcome(args) for args in inputs]
+    monkeypatch.setattr(fock, "_error_at_dim", _sparse_error_at_dim)
+    sparse = [_outcome(args) for args in inputs]
+    raised = [isinstance(v, str) for v in banded]
+    assert raised == [isinstance(v, str) for v in sparse]
+    assert raised[-2:] == [True, True] and not any(raised[:-2])
+    worst = max(abs(b - s) for b, s in zip(banded, sparse) if not isinstance(b, str))
+    print(f"banded vs sparse oracle, worst |diff| = {worst:.3e}")
+    assert worst < 1e-14
+
+
+def test_oracle_leaves_global_rng_alone():
+    """The oracle draws no random numbers: numpy's global stream is not
+    advanced, and its values do not depend on the global seed."""
+    rng = np.random.default_rng(7)
+    inputs = [
+        (rng.uniform(0.05, 2.0), rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8), 0.9, 1e-3)
+        for _ in range(20)
+    ]
+    np.random.seed(7)
+    before = np.random.get_state()
+    receiver_error_fock(1.2, 0.5, 0.6, 0.9, 0.0)
+    after = np.random.get_state()
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+    runs = []
+    for seed in (0, 7, 2**31):
+        np.random.seed(seed)
+        runs.append([receiver_error_fock(*args).hex() for args in inputs])
+    assert runs[0] == runs[1] == runs[2]
