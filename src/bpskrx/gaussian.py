@@ -198,9 +198,20 @@ class SymplecticOp:
 def _embed(n_modes: int, modes: tuple[int, ...], block: np.ndarray) -> np.ndarray:
     """Embed a small symplectic block acting on ``modes`` into 2n x 2n."""
     s = np.eye(2 * n_modes)
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
-    s[np.ix_(idx, idx)] = block
+    idx = np.array([k for m in modes for k in (2 * m, 2 * m + 1)])
+    s[idx[:, None], idx] = block
     return s
+
+
+def _gate_block(gate: str, x: float) -> np.ndarray:
+    """4x4 beamsplitter block at angle x; 2x2 rotation at angle x or squeezer at r = x."""
+    c, s = math.cos(x), math.sin(x)
+    if gate == "beamsplitter":  # the zeros keep the signs of c * eye(2) and s * eye(2)
+        zc, zs = c * 0.0, s * 0.0
+        return np.array([[c, zc, -s, -zs], [zc, c, -zs, -s], [s, zs, c, zc], [zs, s, zc, c]])
+    if gate == "rotation":
+        return np.array([[c, s], [-s, c]])
+    return np.diag([math.exp(-x), math.exp(x)])
 
 
 def beamsplitter(theta: float, n_modes: int = 2, modes: tuple[int, int] = (0, 1)) -> SymplecticOp:
@@ -208,23 +219,17 @@ def beamsplitter(theta: float, n_modes: int = 2, modes: tuple[int, int] = (0, 1)
 
     ``theta = pi/4`` is the balanced (50:50) splitter.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    i2 = np.eye(2)
-    block = np.block([[c * i2, -s * i2], [s * i2, c * i2]])
-    return SymplecticOp(_embed(n_modes, modes, block), np.zeros(2 * n_modes))
+    return SymplecticOp(_embed(n_modes, modes, _gate_block("beamsplitter", theta)), np.zeros(2 * n_modes))
 
 
 def phase_rotation(phi: float, n_modes: int = 1, mode: int = 0) -> SymplecticOp:
     """Single-mode phase-space rotation by angle ``phi``."""
-    c, s = math.cos(phi), math.sin(phi)
-    block = np.array([[c, s], [-s, c]])
-    return SymplecticOp(_embed(n_modes, (mode,), block), np.zeros(2 * n_modes))
+    return SymplecticOp(_embed(n_modes, (mode,), _gate_block("rotation", phi)), np.zeros(2 * n_modes))
 
 
 def squeezer(r: float, n_modes: int = 1, mode: int = 0) -> SymplecticOp:
     """Single-mode squeezer: x -> exp(-r) x, p -> exp(r) p."""
-    block = np.diag([math.exp(-r), math.exp(r)])
-    return SymplecticOp(_embed(n_modes, (mode,), block), np.zeros(2 * n_modes))
+    return SymplecticOp(_embed(n_modes, (mode,), _gate_block("squeezer", r)), np.zeros(2 * n_modes))
 
 
 def random_symplectic(n_modes: int, rng: np.random.Generator, layers: int | None = None) -> SymplecticOp:
@@ -244,9 +249,12 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, layers: int | None
     for _ in range(layers):
         if n_modes >= 2:
             i, j = rng.choice(n_modes, size=2, replace=False)
-            s = beamsplitter(rng.uniform(0.0, 2.0 * math.pi), n_modes, (int(i), int(j))).matrix @ s
-        s = phase_rotation(rng.uniform(0.0, 2.0 * math.pi), n_modes, int(rng.integers(n_modes))).matrix @ s
-        s = squeezer(rng.uniform(0.0, 1.5), n_modes, int(rng.integers(n_modes))).matrix @ s
+            block = _gate_block("beamsplitter", rng.uniform(0.0, 2.0 * math.pi))
+            s = _embed(n_modes, (int(i), int(j)), block) @ s
+        block = _gate_block("rotation", rng.uniform(0.0, 2.0 * math.pi))  # angle, then mode
+        s = _embed(n_modes, (int(rng.integers(n_modes)),), block) @ s
+        block = _gate_block("squeezer", rng.uniform(0.0, 1.5))
+        s = _embed(n_modes, (int(rng.integers(n_modes)),), block) @ s
     return SymplecticOp(s, np.zeros(2 * n_modes))
 
 

@@ -9,7 +9,8 @@ trials take milliseconds.
 
 Reproducibility contract: the generator is ``numpy.random.Generator`` over
 ``PCG64`` seeded through ``SeedSequence``; the identifier string is embedded
-in every estimate. Sweeps derive one seed per grid point by feeding
+in every estimate. The uniforms are drawn in chunks, with the values of one
+``rng.random(trials)`` call. Sweeps derive one seed per grid point by feeding
 ``[master_seed, point_index]`` to ``SeedSequence``, a counter-based mix that
 makes per-point streams independent of evaluation order.
 
@@ -20,11 +21,12 @@ priors to within one trial out of ``trials`` (exactly, whenever
 ``p_plus * trials`` is integral) and leaves the clicks as the only
 stochastic element. This is a variance reduction: the binomial standard
 error reported alongside is computed as if signs were i.i.d. and is
-therefore conservative.
+therefore conservative. The sign mask is cached per ``(trials, p_plus)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +47,9 @@ __all__ = [
 
 RNG_ID = "numpy.random.Generator(PCG64)/SeedSequence"
 
+#: Trials per chunk of the uniform stream: in L2, and whole bytes of the mask.
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -57,10 +62,10 @@ class McConfig:
     gamma: float
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed!r}")
+        if type(self.trials) is not int or self.trials < 1:
+            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
@@ -90,10 +95,20 @@ def derive_point_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
+@functools.lru_cache(maxsize=1)
+def _plus_mask(trials: int, p_plus: float) -> tuple[np.ndarray, int]:
+    """Read-only stratified sign mask, packed 8 trials a byte, and its plus count."""
+    packed = np.empty(-(-trials // 8), dtype=np.uint8)
+    for lo in range(0, trials, _CHUNK):
+        f = np.arange(lo, min(lo + _CHUNK, trials) + 1, dtype=float) * p_plus
+        np.floor(f, out=f)
+        packed[lo // 8 : (lo + _CHUNK) // 8] = np.packbits(f[1:] > f[:-1])
+    packed.setflags(write=False)
+    return packed, int(np.count_nonzero(np.unpackbits(packed)))
+
+
 def _stratified_plus_mask(trials: int, p_plus: float) -> np.ndarray:
-    f = np.arange(trials + 1, dtype=float) * p_plus
-    np.floor(f, out=f)
-    return f[1:] > f[:-1]
+    return np.unpackbits(_plus_mask(trials, p_plus)[0], count=trials).view(bool)
 
 
 def simulate_type2(config: McConfig) -> McEstimate:
@@ -109,12 +124,13 @@ def simulate_type2(config: McConfig) -> McEstimate:
         s: -math.expm1(-(det.nu + det.eta * mean_intensity(s, ens, config.gamma, det)))
         for s in (1, -1)
     }
-    plus = _stratified_plus_mask(config.trials, ens.p_plus)
+    packed, errors = _plus_mask(config.trials, ens.p_plus)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    u = rng.random(config.trials)
     # plus without a click, minus with one; a trial clicks when u < p_on
-    misses = np.count_nonzero(plus) - np.count_nonzero((u < p_on[1]) & plus)
-    errors = int(misses + np.count_nonzero((u < p_on[-1]) & ~plus))
+    for lo in range(0, config.trials, _CHUNK):
+        u = rng.random(min(_CHUNK, config.trials - lo))
+        sent = np.unpackbits(packed[lo // 8 : (lo + _CHUNK) // 8], count=len(u)).view(bool)
+        errors += np.count_nonzero((u < p_on[-1]) & ~sent) - np.count_nonzero((u < p_on[1]) & sent)
     p_hat = errors / config.trials
     return McEstimate(
         p_hat=p_hat,

@@ -128,6 +128,17 @@ def test_random_symplectic_pins_draw_and_product_order(n, layers):
         assert got.offset.tobytes() == ref[1].tobytes()
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2, 2.5, math.pi, 4.0, 5.9])
+def test_beamsplitter_block_equals_block_form_bitwise(theta):
+    """The beamsplitter matrix is [[c I, -s I], [s I, c I]] built from
+    ``eye(2)``, zeros' sign bits included."""
+    c, s = math.cos(theta), math.sin(theta)
+    i2 = np.eye(2)
+    ref = np.block([[c * i2, -s * i2], [s * i2, c * i2]])
+    got = beamsplitter(theta).matrix
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_symplectic_form_equals_block_diag_bitwise(n):
     """The cached form equals scipy's direct sum, zeros' sign bits included,

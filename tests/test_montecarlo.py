@@ -1,15 +1,18 @@
 """Click-simulation determinism, exact degenerate cases, and coverage."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bpskrx.core import BinaryEnsemble, DetectorModel
 from bpskrx.montecarlo import (
+    _CHUNK,
     RNG_ID,
     McConfig,
     McEstimate,
+    _plus_mask,
     _stratified_plus_mask,
     derive_point_seed,
     simulate_type2,
@@ -41,6 +44,27 @@ def test_validation():
         McEstimate(p_hat=1.5, std_err=0.0, trials=10, seed=1)
     with pytest.raises(ValueError):
         McEstimate(p_hat=0.5, std_err=0.1, trials=10, seed=1)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("trials", 1e3),
+        ("trials", True),
+        ("trials", 0),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", -1),
+        ("seed", 2**64),
+    ],
+)
+def test_config_requires_int_trials_and_seed(name, value):
+    """trials and seed must be ints, not floats or bools: a float used to
+    reach numpy and fail there, and seed=True ran as seed 1."""
+    args = {"trials": 10, "seed": 1, "ensemble": BinaryEnsemble(0.5),
+            "detector": DetectorModel(), "gamma": 0.5, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        McConfig(**args)
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
@@ -168,3 +192,56 @@ def test_error_count_equals_click_comparison(gamma):
         errors = int(np.count_nonzero(clicks != plus))
         est = simulate_type2(McConfig(trials, seed, ens, det, gamma))
         assert est.p_hat == errors / trials
+
+
+def _one_shot_p_hat(config):
+    """The simulation on whole arrays of length ``trials``, as it ran before
+    the stream was drawn in chunks."""
+    ens, det = config.ensemble, config.detector
+    p_on = {s: -math.expm1(-(det.nu + det.eta * mean_intensity(s, ens, config.gamma, det)))
+            for s in (1, -1)}
+    f = np.floor(np.arange(config.trials + 1, dtype=float) * ens.p_plus)
+    plus = f[1:] > f[:-1]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    u = rng.random(config.trials)
+    misses = np.count_nonzero(plus) - np.count_nonzero((u < p_on[1]) & plus)
+    return int(misses + np.count_nonzero((u < p_on[-1]) & ~plus)) / config.trials
+
+
+@pytest.mark.parametrize("p_plus", [0.5, 1 / 3, 0.3, 0.77, 0.999, 0.29])
+@pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 10**6])
+def test_chunked_stream_equals_one_shot(trials, p_plus):
+    """Drawing the uniforms chunk by chunk and counting per chunk gives the
+    bits of one draw of the whole stream, at and around chunk edges."""
+    ens = BinaryEnsemble(0.7, p_plus, 1.0 - p_plus)
+    config = McConfig(trials, 7 + trials, ens, FIG4_DETECTOR, 0.5)
+    assert simulate_type2(config).p_hat == _one_shot_p_hat(config)
+
+
+def test_plus_mask_cache_holds_one_read_only_mask():
+    """The sign mask is cached packed eight trials a byte, read-only, with
+    its plus count; a second (trials, p_plus) pair replaces the first."""
+    packed, count = _plus_mask(1003, 0.3)
+    mask = _stratified_plus_mask(1003, 0.3)
+    assert packed.nbytes == 126 and count == int(np.count_nonzero(mask)) == 300
+    assert np.array_equal(np.unpackbits(packed, count=1003).view(bool), mask)
+    with pytest.raises(ValueError, match="read-only"):
+        packed[0] = 0
+    assert _plus_mask(1003, 0.3)[0] is packed
+    _plus_mask(1003, 0.4)
+    assert _plus_mask.cache_info().currsize == 1
+    assert _plus_mask(1003, 0.3)[0] is not packed
+
+
+def test_repeated_call_allocates_per_chunk_not_per_trial():
+    """Once the mask is cached, a 2e6-trial call holds about one chunk of
+    uniforms and masks at a time, not arrays of length ``trials``."""
+    config = _config(0.8, FIG4_DETECTOR, trials=2 * 10**6, gamma=0.8)
+    simulate_type2(config)
+    tracemalloc.start()
+    try:
+        simulate_type2(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
