@@ -48,7 +48,11 @@ def _parse_receivers(text: str) -> list[str]:
             raise argparse.ArgumentTypeError(
                 f"unknown receiver {part.strip()!r}; choose from {', '.join(RECEIVERS)}"
             )
+        if tag in tags:
+            raise argparse.ArgumentTypeError(f"receiver {tag!r} given twice")
         tags.append(tag)
+    if not tags:
+        raise argparse.ArgumentTypeError("no receiver given")
     return tags
 
 

@@ -47,10 +47,11 @@ _ROOT_TOL = 1e-12  #: largest |f(root)| that `find_root_bracketed` accepts
 class RootResult:
     """Outcome of a root solve.
 
-    value : the solution; a float for scalar solves, an (x, y) tuple for the
-        two-parameter solver.
+    value : the solution; a float for scalar solves, a (beta, r) tuple for
+        the two-parameter solver.
     residual : achieved max |f| at the solution.
-    iterations : function-solve iterations spent (summed over restarts).
+    iterations : Brent iterations spent; for the two-parameter solver, those
+        of the outer solve in r.
     """
 
     value: float | tuple[float, float]
@@ -273,170 +274,50 @@ def _beta_given_r(alpha: float, r: float, eta: float) -> float:
     return find_root_bracketed(f, max(alpha, 1e-12), hi).value
 
 
-def _maxabs(a: float, b: float) -> float:
-    """max(|a|, |b|), NaN if either is NaN (as numpy's ``max`` gives it)."""
-    a, b = abs(a), abs(b)
-    return a if a > b or a != a else b
-
-
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, like C's ``fma``.
-
-    The exact value is formed from the operands' integer ratios and rounded
-    by one int/int true division, which CPython rounds correctly. An exact
-    zero keeps the signed zero of ``a * b + c``; a result too large for a
-    float is the signed infinity that IEEE rounding gives. With an infinite
-    or NaN operand the result follows IEEE 754 as well.
-    """
-    try:
-        (an, ad), (bn, bd), (cn, cd) = (
-            a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
-        )
-    except (OverflowError, ValueError):  # inf or NaN operand
-        return c if math.isfinite(a) and math.isfinite(b) else a * b + c
-    num = an * bn * cd + cn * ad * bd
-    if not num:
-        return a * b + c
-    try:
-        return num / (ad * bd * cd)
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
-def _solve2(a11: float, a12: float, a21: float, a22: float, b1: float, b2: float):
-    """Solve ``[[a11, a12], [a21, a22]] x = [b1, b2]``; returns (x1, x2), or
-    None for a singular or non-finite system.
-
-    LU with partial pivoting in the operation order of OpenBLAS's ``dgesv``
-    (SkylakeX kernel): rows swap only if |a21| > |a11|, the multiplier is
-    ``a21 * (1 / a11)``, and both substitutions are one fma and one division.
-    For finite systems with normal entries the result is bitwise that of
-    ``np.linalg.solve`` on that kernel, and this version gives it on every
-    host.
-    """
-    if not all(map(math.isfinite, (a11, a12, a21, a22, b1, b2))):
-        return None
-    if abs(a21) > abs(a11):
-        a11, a12, b1, a21, a22, b2 = a21, a22, b2, a11, a12, b1
-    if a11 == 0.0:
-        return None
-    l = a21 * (1.0 / a11)
-    u22 = a22 - l * a12
-    if u22 == 0.0:
-        return None
-    x2 = _fma(-l, b1, b2) / u22
-    return _fma(-x2, a12, b1) / a11, x2
-
-
-def _newton_2d(alpha: float, eta: float, beta0: float, r0: float):
-    """Damped Newton on the cleared residuals; returns (beta, r, resid, iters)
-    or None if it wanders out of the box, stalls or meets a singular or
-    non-finite Jacobian system.
-
-    The Jacobian is a central difference with step 1e-7 in each coordinate,
-    the step is `_solve2`, and each step is halved up to 25 times until it
-    stays in the box and lowers max |residual|. Everything runs on Python
-    floats, so the result does not depend on the BLAS library.
-    """
-    h = 1e-7
-    h2 = 2.0 * h
-    x0, x1 = beta0, r0
-    f0, f1 = type1_residuals(alpha, x0, x1, eta)
-    for it in range(1, 81):
-        norm = _maxabs(f0, f1)
-        if norm < 1e-12:
-            return x0, x1, norm, it
-        p0, p1 = type1_residuals(alpha, x0 + h, x1, eta)
-        m0, m1 = type1_residuals(alpha, x0 - h, x1, eta)
-        q0, q1 = type1_residuals(alpha, x0, x1 + h, eta)
-        n0, n1 = type1_residuals(alpha, x0, x1 - h, eta)
-        step = _solve2(
-            (p0 - m0) / h2, (q0 - n0) / h2, (p1 - m1) / h2, (q1 - n1) / h2, -f0, -f1
-        )
-        if step is None:
-            return None
-        s0, s1 = step
-        lam = 1.0
-        for _ in range(25):
-            t0, t1 = x0 + lam * s0, x1 + lam * s1
-            if t0 > 0.0 and abs(t1) <= R_BOX:
-                g0, g1 = type1_residuals(alpha, t0, t1, eta)
-                if _maxabs(g0, g1) < norm:
-                    x0, x1, f0, f1 = t0, t1, g0, g1
-                    break
-            lam *= 0.5
-        else:
-            return None
-        if lam * _maxabs(s0, s1) < 1e-15 and _maxabs(f0, f1) > 1e-10:
-            return None
-    norm = _maxabs(f0, f1)
-    return (x0, x1, norm, 80) if norm < 1e-10 else None
-
-
 def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
     """Jointly optimal displacement and squeezing of the squeeze-assisted
     photon receiver.
 
-    Multistart damped Newton on the cleared residual pair (starts r in
-    {-0.3, 0, 0.3}, each with beta pre-solved from the first residual at
-    that r). The search box is |r| <= 1.5, beta > 0; no sign of r is
-    assumed. The Newton runs on Python floats with a correctly rounded 2x2
-    step (`_newton_2d`), so the result is the same on every host and BLAS
-    library. The winning candidate is the minimum of
-    `displaced_squeezed_error` with deterministic lexicographic
-    tie-breaking on (P, beta, r). If no start converges the call raises
-    ConvergenceError with ``best=None``.
+    One bracketed root in r of two nested solves. The inner one is beta(r),
+    the root of the first residual at fixed r (`_beta_given_r`). Along it
+    tanh(w) = alpha / beta, so the second residual times beta / alpha is
 
-    Every candidate has residuals below 1e-10 (`_newton_2d` returns no
-    other). The winner is post-verified: a 5x5 local stencil (spacing
-    1e-4) has no lower neighbor, and the r = 0 slice optimum (the r = 0
-    start's beta, solved once) is not better. Verification failure raises
-    ConvergenceError carrying the best point; if the r = 0 beta solve
-    failed, its error is raised here.
+        4 (beta - alpha) (beta + alpha) - expm1(4r) G / H,
+
+    whose root the outer `_brentq` finds on the box |r| <= `R_BOX`; no sign
+    of r is assumed. ``iterations`` counts the outer solve's iterations.
+
+    The point is accepted only if both residuals of `type1_residuals` are
+    below 1e-10 (NaN fails). A failed bracket or solve at either level, or a
+    rejected point, raises ConvergenceError; the last carries ``best =
+    (beta, r)``.
     """
     if eta <= 0.0:
         raise UnsupportedConfigurationError("eta must be positive")
     if alpha <= 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha!r}")
 
-    candidates = []
-    total_iters = 0
-    flat = None  # the r = 0 start's beta, or the error its solve raised
-    for r0 in (-0.3, 0.0, 0.3):
-        try:
-            beta0 = _beta_given_r(alpha, r0, eta)
-        except (BracketError, ConvergenceError) as exc:
-            beta0 = exc
-        if r0 == 0.0:
-            flat = beta0
-        if isinstance(beta0, Exception):
-            continue
-        got = _newton_2d(alpha, eta, beta0, r0)
-        if got is not None:
-            beta, r, resid, iters = got
-            total_iters += iters
-            candidates.append((displaced_squeezed_error(alpha, beta, r, eta), beta, r, resid))
+    def reduced(r: float) -> float:
+        beta = _beta_given_r(alpha, r, eta)
+        g = eta + (2.0 - eta) * math.exp(-2.0 * r)
+        h = eta + (2.0 - eta) * math.exp(2.0 * r)
+        return 4.0 * (beta - alpha) * (beta + alpha) - math.expm1(4.0 * r) * g / h
 
-    if not candidates:
-        raise ConvergenceError(f"stationarity solve failed for alpha={alpha}, eta={eta}")
-
-    p_star, beta, r, resid = min(candidates, key=lambda c: c[:3])
-    delta = 1e-4
-    for i in range(-2, 3):
-        for j in range(-2, 3):
-            if displaced_squeezed_error(alpha, beta + i * delta, r + j * delta, eta) < p_star - 1e-12:
-                raise ConvergenceError(
-                    f"stationary point is not a local minimum at alpha={alpha}, eta={eta}",
-                    best=(beta, r),
-                )
-    if isinstance(flat, Exception):
-        raise flat
-    if displaced_squeezed_error(alpha, flat, 0.0, eta) < p_star - 1e-12:
+    try:
+        r, iterations = _brentq(reduced, -R_BOX, R_BOX)
+        beta = _beta_given_r(alpha, r, eta)
+    except (BracketError, ConvergenceError) as exc:
         raise ConvergenceError(
-            f"r = 0 slice beats the joint solution at alpha={alpha}, eta={eta}",
+            f"stationarity solve failed for alpha={alpha}, eta={eta}: {exc}"
+        ) from exc
+    r1, r2 = type1_residuals(alpha, beta, r, eta)
+    if not (abs(r1) < 1e-10 and abs(r2) < 1e-10):
+        raise ConvergenceError(
+            f"stationarity solve failed for alpha={alpha}, eta={eta}: "
+            f"residuals ({r1:.3e}, {r2:.3e})",
             best=(beta, r),
         )
-    return RootResult((beta, r), resid, total_iters)
+    return RootResult((beta, r), max(abs(r1), abs(r2)), iterations)
 
 
 def contrast_factor(r: float, phi: float) -> float:

@@ -154,8 +154,8 @@ def test_params_solver_failure_exit_3(monkeypatch, capsys):
 
 
 def test_params_huge_alpha_exit_3(capsys):
-    """alpha^2 = 1e308 overflows the type1 residuals at every Newton start;
-    that is an optimizer failure, not a traceback."""
+    """alpha^2 = 1e308 overflows the type1 residuals to NaN, which the
+    solver rejects; that is an optimizer failure, not a traceback."""
     assert cli.main(["params", "--alpha-sq", "1e308"]) == 3
     assert "optimizer failed" in capsys.readouterr().err
 
@@ -491,9 +491,24 @@ def test_csv_line_numbers_count_metadata_lines(tmp_path):
     assert err.value.line == 4
 
 
-def test_unknown_receiver_flag_rejected(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["sweep", "--receivers", "warpdrive", "--out", "x.csv"])
+@pytest.mark.parametrize(
+    "receivers, message",
+    [
+        ("warpdrive", "unknown receiver 'warpdrive'"),
+        (",", "no receiver given"),
+        ("type2,type2", "receiver 'type2' given twice"),
+        ("type2-imperfect,type2_imperfect", "receiver 'type2_imperfect' given twice"),
+    ],
+    ids=["unknown", "empty", "repeated", "repeated-spelling"],
+)
+def test_unknown_receiver_flag_rejected(tmp_path, capsys, receivers, message):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--receivers", receivers, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: bpskrx sweep" in err and message in err
+    assert not out.exists()
 
 
 LOSSY_FLAGS = ["--eta", "0.9", "--nu", "1e-3", "--tau", "0.99", "--xi", "0.995"]

@@ -38,7 +38,7 @@ LOSSY = ["--eta", "0.9", "--nu", "1e-3", "--tau", "0.99", "--xi", "0.995"]
 CASES = {
     "import-bpskrx": ([], 0),
     "params": (["params", "--alpha-sq", "0.25"], 0),
-    # no Newton start converges for type1 here, so the call fails: exit 3
+    # the type1 optimum lies outside the r box here, so the call fails: exit 3
     "params-low-eta": (["params", "--alpha-sq", "1", "--eta", "0.01"], 3),
     "sweep": (["sweep", "--points", "5", "--out", "{tmp}/default.csv"], 0),
     "sweep-linear": (

@@ -1,8 +1,8 @@
 """Pinned CLI output bytes.
 
-Each file below is written by the CLI and compared against a sha256 pinned
-from an earlier release of the package, so a refactor that moves a single
-digit of a CSV or a single coordinate of the SVG fails here. Two runs of the
+Each file below is written by the CLI and compared against a pinned sha256,
+so a refactor that moves a single digit of a CSV or a single coordinate of
+the SVG fails here. Two runs of the
 same code agreeing (the rerun tests in `test_cli`) cannot catch that.
 
 The digests assume the float behaviour of the platform they were captured on
@@ -51,16 +51,19 @@ RUNS = (
     ),
 )
 
-#: Captured with the command in the module docstring from the release before
-#: the receiver table and the shared Schur complement went in.
+#: Captured with the command in the module docstring. The two sweeps with
+#: type1 rows and the figure drawn from them were re-pinned when the type1
+#: optimum became one bracketed root in r of the reduced second residual
+#: (its beta and r moved at round-off, by up to 1.1e-12); the other four
+#: date from before the receiver table and the shared Schur complement.
 GOLDEN = {
-    "sweep_default.csv": "8404ac712b584e19833678f549dfeb8e860eed33d8e670f596048346fb872294",
-    "sweep_all_ideal.csv": "b6eba81265abb77f9bf6f3df2477ff29cbb1e64a102255337686eaaff3256ce1",
+    "sweep_default.csv": "74514fba260d30d846dc7af0dc45db540115b5a965bcb561e0d3725a4ea809f9",
+    "sweep_all_ideal.csv": "62d3054ba7c027cb67642df1f6d6985eed7d65e869adefc780561fd21cfd7015",
     "sweep_all_lossy.csv": "98f62ac6e364d7810864a6267445b45c6605768cbf9cc192a80a5073e0dd1d60",
     "mc_ideal.csv": "e8d092c8df9067fea1cfd9dcd47f526717a96d696f60e879089230597c94382e",
     "mc_lossy.csv": "e15fd7e2d00af240a05b6ae7db2a3534a3bdcc63919e9bfd3abbbd5a68a77ac4",
     "landscape.csv": "0e77eb3bb2169852205aba2568809c8881f136820e1a45be796f2d9031966451",
-    "figure.svg": "2e6c3295873d8f1a82015b259bdab76263e81f43720ebf8487c5e8cfcc50365c",
+    "figure.svg": "4a84ecdf1ee7ba608782a1623bb5dffd9c7949ca2775bbd1b8fb1fc2ce4b5b1a",
 }
 
 
@@ -82,9 +85,9 @@ def test_cli_outputs_match_pinned_bytes(tmp_path):
     reason="OPENBLAS_CORETYPE names x86-64 kernels",
 )
 def test_cli_outputs_match_pinned_bytes_on_prescott_blas(tmp_path):
-    """The same bytes with OpenBLAS forced onto an old pre-AVX kernel, whose
-    2x2 solve rounds without fma, unlike the AVX-512 one: no pinned output
-    may go through a BLAS call whose bits depend on the kernel."""
+    """The same bytes with OpenBLAS forced onto an old pre-AVX kernel, which
+    rounds without fma, unlike the AVX-512 one: no pinned output may go
+    through a BLAS call whose bits depend on the kernel."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
