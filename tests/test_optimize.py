@@ -129,6 +129,18 @@ def test_type1_frozen_optima():
         assert res.residual < 1e-10
 
 
+def test_type1_damped_newton_step():
+    """At eta = 0.1 the optimum sits at strong squeezing, where a full Newton
+    step from r = 0 overshoots the box; the bracketed root reaches it in 8
+    outer iterations."""
+    res = solve_type1_params(math.sqrt(0.5), 0.1)
+    beta, r = res.value
+    assert abs(beta - 0.9426332700401004) < 1e-9
+    assert abs(r - 1.1954551386485819) < 1e-9
+    assert res.residual < 1e-10
+    assert res.iterations == 8
+
+
 @pytest.mark.parametrize(
     "call, exc, match",
     [
