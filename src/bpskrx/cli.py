@@ -100,14 +100,15 @@ def _alpha_grid(args) -> list[float]:
         )
     if args.points < 2:
         raise argparse.ArgumentTypeError("--points must be at least 2")
-    if args.scale == "log":
-        if args.alpha_sq_min == 0.0:
-            raise argparse.ArgumentTypeError("--scale log needs --alpha-sq-min > 0")
-        import numpy as np  # the pinned sweep bytes come from its SIMD power loop
-
-        lo, hi = math.log10(args.alpha_sq_min), math.log10(args.alpha_sq_max)
-        return np.logspace(lo, hi, args.points).tolist()
-    return _linspace(args.alpha_sq_min, args.alpha_sq_max, args.points)
+    if args.scale == "linear":
+        return _linspace(args.alpha_sq_min, args.alpha_sq_max, args.points)
+    if args.alpha_sq_min == 0.0:
+        raise argparse.ArgumentTypeError("--scale log needs --alpha-sq-min > 0")
+    lo, hi = math.log10(args.alpha_sq_min), math.log10(args.alpha_sq_max)
+    try:
+        return [10.0 ** x for x in _linspace(lo, hi, args.points)]
+    except OverflowError:
+        raise argparse.ArgumentTypeError("--alpha-sq-max is too large for --scale log") from None
 
 
 def _detector(args) -> DetectorModel:

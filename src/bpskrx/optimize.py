@@ -184,14 +184,22 @@ def displaced_squeezed_error(
     The squeezing enters only through the quadrature-dependent factors G
     (along the displacement) and H (orthogonal); ``r = 0`` collapses both
     to 2 and recovers the pure displacement receiver.
+
+    Where a float overflows (``(alpha + beta) ** 2`` at alpha = beta = 1e154)
+    the call raises UnsupportedConfigurationError.
     """
-    g = eta + (2.0 - eta) * math.exp(-2.0 * r)
-    h = eta + (2.0 - eta) * math.exp(2.0 * r)
-    pref = math.exp(-nu) / math.sqrt(g * h)
-    return 0.5 - pref * (
-        math.exp(-2.0 * eta * (alpha - beta) ** 2 / g)
-        - math.exp(-2.0 * eta * (alpha + beta) ** 2 / g)
-    )
+    try:
+        g = eta + (2.0 - eta) * math.exp(-2.0 * r)
+        h = eta + (2.0 - eta) * math.exp(2.0 * r)
+        pref = math.exp(-nu) / math.sqrt(g * h)
+        return 0.5 - pref * (
+            math.exp(-2.0 * eta * (alpha - beta) ** 2 / g)
+            - math.exp(-2.0 * eta * (alpha + beta) ** 2 / g)
+        )
+    except OverflowError:
+        raise UnsupportedConfigurationError(
+            f"squeeze-displace error overflows at alpha={alpha!r}, beta={beta!r}, r={r!r}"
+        ) from None
 
 
 def type1_residuals(alpha: float, beta: float, r: float, eta: float) -> tuple[float, float]:

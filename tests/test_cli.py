@@ -579,6 +579,8 @@ def test_montecarlo_solves_gamma_once_per_point(tmp_path, monkeypatch):
         ["sweep", "--xi", "-0.1"],
         ["sweep", "--nu", "-1"],
         ["sweep", "--alpha-sq-min", "-1"],
+        ["sweep", "--alpha-sq-max", "1.7976931348623157e308"],  # 10 ** log10 overflows
+        ["montecarlo", "--alpha-sq-max", "1.7976931348623157e308"],
         ["montecarlo", "--trials", "0"],
         ["montecarlo", "--eta", "1.5"],
         ["params", "--alpha-sq", "-1"],

@@ -6,10 +6,10 @@ the SVG fails here. Two runs of the
 same code agreeing (the rerun tests in `test_cli`) cannot catch that.
 
 The digests assume the float behaviour of the platform they were captured on
-(x86-64, CPython 3.11, numpy 2.4, scipy 1.17); they do not depend on the
-OpenBLAS kernel, which a second test checks by running the CLI on another
-one. Regenerate them only for a change that is meant to alter output, and say
-so in the change log:
+(x86-64, CPython 3.11, numpy 2.4, scipy 1.17); they depend neither on the
+OpenBLAS kernel nor on which SIMD loops numpy dispatches to, which a second
+test checks by running the CLI with each switched. Regenerate them only for a
+change that is meant to alter output, and say so in the change log:
 
     python tests/test_golden.py OUTDIR
 """
@@ -51,15 +51,16 @@ RUNS = (
     ),
 )
 
-#: Captured with the command in the module docstring. The two sweeps with
-#: type1 rows and the figure drawn from them were re-pinned when the type1
-#: optimum became one bracketed root in r of the reduced second residual
-#: (its beta and r moved at round-off, by up to 1.1e-12); the other four
-#: date from before the receiver table and the shared Schur complement.
+#: Captured with the command in the module docstring. The three sweeps were
+#: re-pinned when the log alpha grid moved from ``np.logspace`` to
+#: ``10.0 ** x`` on Python floats (7 of 60 grid points moved by one ulp);
+#: the figure when the type1 optimum became one bracketed root in r; the
+#: other three date from before the receiver table and the shared Schur
+#: complement.
 GOLDEN = {
-    "sweep_default.csv": "74514fba260d30d846dc7af0dc45db540115b5a965bcb561e0d3725a4ea809f9",
-    "sweep_all_ideal.csv": "62d3054ba7c027cb67642df1f6d6985eed7d65e869adefc780561fd21cfd7015",
-    "sweep_all_lossy.csv": "98f62ac6e364d7810864a6267445b45c6605768cbf9cc192a80a5073e0dd1d60",
+    "sweep_default.csv": "7e8f1e18c223c4769d71acecfd4969f96fd6ca4a2a05f2f03aec142f81c029d8",
+    "sweep_all_ideal.csv": "8f6983529eb62ed5a3dea362ecdc21cc6dc3dd45e61dbed5b9eab20237c64c69",
+    "sweep_all_lossy.csv": "f1d700ae7842594031d6e51049582c82f62588821bbfe0e1da7956adc83ca966",
     "mc_ideal.csv": "e8d092c8df9067fea1cfd9dcd47f526717a96d696f60e879089230597c94382e",
     "mc_lossy.csv": "e15fd7e2d00af240a05b6ae7db2a3534a3bdcc63919e9bfd3abbbd5a68a77ac4",
     "landscape.csv": "0e77eb3bb2169852205aba2568809c8881f136820e1a45be796f2d9031966451",
@@ -80,16 +81,26 @@ def test_cli_outputs_match_pinned_bytes(tmp_path):
     assert _run_all(tmp_path) == GOLDEN
 
 
+#: Child environments that change how the host rounds: OpenBLAS forced onto
+#: an old pre-AVX kernel, which rounds without fma, and numpy's own dispatch
+#: switch turning off its AVX-512 loops, whose `power` rounds unlike libm.
+CHILD_ENVS = {
+    "prescott-blas": {"OPENBLAS_CORETYPE": "Prescott"},
+    "npy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
 @pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"),
-    reason="OPENBLAS_CORETYPE names x86-64 kernels",
+    reason="both switches name x86-64 kernels",
 )
-def test_cli_outputs_match_pinned_bytes_on_prescott_blas(tmp_path):
-    """The same bytes with OpenBLAS forced onto an old pre-AVX kernel, which
-    rounds without fma, unlike the AVX-512 one: no pinned output may go
-    through a BLAS call whose bits depend on the kernel."""
+@pytest.mark.parametrize("child_env", list(CHILD_ENVS))
+def test_cli_outputs_match_pinned_bytes_in_child(tmp_path, child_env):
+    """The same bytes in a child whose BLAS kernel or numpy SIMD loops are
+    switched: no pinned output may go through a call whose bits depend on
+    either."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env = dict(os.environ, **CHILD_ENVS[child_env])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "

@@ -151,9 +151,17 @@ def test_type1_damped_newton_step():
         (lambda: solve_type2_gamma(-0.5), ValueError, "alpha must be >= 0"),
         (lambda: verify_gaussian_optimum(BinaryEnsemble(0.5), [], [0.0]), ValueError, "nonempty"),
         (lambda: verify_gaussian_optimum(BinaryEnsemble(0.5), [1.0], []), ValueError, "nonempty"),
+        # a float overflow is a typed error naming the amplitudes
+        (lambda: displaced_squeezed_error(1e154, 1e154, 0.0), UnsupportedConfigurationError,
+         r"overflows at alpha=1e\+154, beta=1e\+154"),
+        (lambda: displaced_squeezed_error(1e154, -1e154, 0.0), UnsupportedConfigurationError,
+         r"overflows at alpha=1e\+154, beta=-1e\+154"),
+        (lambda: displaced_squeezed_error(0.5, 0.5, -400.0), UnsupportedConfigurationError,
+         r"overflows at alpha=0.5, beta=0.5, r=-400.0"),
     ],
     ids=["type1-eta0", "type1-eta-neg", "type1-alpha0", "type1-alpha-neg", "type2-alpha-neg",
-         "landscape-no-r", "landscape-no-phi"],
+         "landscape-no-r", "landscape-no-phi", "dse-overflow-plus", "dse-overflow-minus",
+         "dse-overflow-squeeze"],
 )
 def test_solver_input_guards(call, exc, match):
     with pytest.raises(exc, match=match):
