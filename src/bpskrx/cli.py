@@ -106,9 +106,12 @@ def _alpha_grid(args) -> list[float]:
         raise argparse.ArgumentTypeError("--scale log needs --alpha-sq-min > 0")
     lo, hi = math.log10(args.alpha_sq_min), math.log10(args.alpha_sq_max)
     try:
-        return [10.0 ** x for x in _linspace(lo, hi, args.points)]
+        grid = [10.0 ** x for x in _linspace(lo, hi, args.points)]
     except OverflowError:
         raise argparse.ArgumentTypeError("--alpha-sq-max is too large for --scale log") from None
+    # 10 ** log10(bound) can miss the bound by an ulp; the ends are the bounds
+    grid[0], grid[-1] = args.alpha_sq_min, args.alpha_sq_max
+    return grid
 
 
 def _detector(args) -> DetectorModel:

@@ -4,8 +4,8 @@ The two problem-defining records live here so that every other module
 (Gaussian algebra, Fock oracle, receivers, optimizer, Monte Carlo, CLI)
 can import them without circular dependencies:
 
-* :class:`BinaryEnsemble` -- the discrimination instance {|alpha>, |-alpha>}
-  with prior probabilities.
+* :class:`BinaryEnsemble` -- the discrimination instance {|alpha>, |-alpha>},
+  sent with equal priors.
 * :class:`DetectorModel` -- on/off detector and coupling imperfections
   (quantum efficiency eta, dark counts nu, transmittance tau, mode match xi).
 * :class:`ReceiverResult` -- a computed error probability with its operating
@@ -77,31 +77,16 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class BinaryEnsemble:
-    """Binary coherent signal {|alpha>, |-alpha>} with prior probabilities.
+    """Binary coherent signal {|alpha>, |-alpha>}, each sent with prior 1/2.
 
     ``alpha`` is the real signal amplitude (mean photon number alpha**2).
-    Default priors are equal, which is what every photon-counting receiver
-    in this package assumes.
     """
 
     alpha: float
-    p_plus: float = 0.5
-    p_minus: float = 0.5
 
     def __post_init__(self):
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        for name, p in (("p_plus", self.p_plus), ("p_minus", self.p_minus)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-        if abs(self.p_plus + self.p_minus - 1.0) > 1e-12:
-            raise ValueError(
-                f"priors must sum to 1 within 1e-12, got {self.p_plus + self.p_minus!r}"
-            )
-
-    @property
-    def equal_priors(self) -> bool:
-        return self.p_plus == self.p_minus
 
 
 @dataclass(frozen=True)
@@ -134,7 +119,7 @@ class DetectorModel:
 
 
 #: How a `ReceiverResult` number was obtained.
-PROVENANCES = ("analytic", "fock", "montecarlo")
+PROVENANCES = ("analytic", "montecarlo")
 
 #: The receiver table of `receivers`, which validates tags. That module
 #: imports this one, so the table is bound on first use; importing it on
@@ -149,7 +134,7 @@ class ReceiverResult:
     Optional operating parameters are populated only where they apply
     (beta_opt/r_opt for the displacement+squeezing receiver, gamma_opt for
     displacement-only receivers). ``provenance`` records how the number was
-    obtained: "analytic", "fock", or "montecarlo".
+    obtained: "analytic" or "montecarlo".
     """
 
     receiver: str

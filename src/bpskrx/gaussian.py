@@ -148,8 +148,9 @@ class GaussianState:
         """Sorted symplectic eigenvalues (each appears twice in the output)."""
         return np.sort(_symplectic_eigenvalues(self.cov))
 
-    def is_pure(self, tol: float = 1e-6) -> bool:
-        return bool(np.abs(self.symplectic_eigenvalues() - 1.0).max(initial=0.0) <= tol)
+    def is_pure(self) -> bool:
+        """Every symplectic eigenvalue is 1 within 1e-6."""
+        return bool(np.abs(self.symplectic_eigenvalues() - 1.0).max(initial=0.0) <= 1e-6)
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -232,10 +233,10 @@ def squeezer(r: float, n_modes: int = 1, mode: int = 0) -> SymplecticOp:
     return SymplecticOp(_embed(n_modes, (mode,), _gate_block("squeezer", r)), np.zeros(2 * n_modes))
 
 
-def random_symplectic(n_modes: int, rng: np.random.Generator, layers: int | None = None) -> SymplecticOp:
+def random_symplectic(n_modes: int, rng: np.random.Generator) -> SymplecticOp:
     """Seeded generic symplectic: layered beamsplitters, rotations, squeezers.
 
-    Each of the ``3 * n_modes`` default layers applies a beamsplitter with
+    Each of the ``3 * n_modes`` layers applies a beamsplitter with
     uniform angle on a random mode pair (skipped for one mode), a uniform
     phase rotation on a random mode, and a squeeze with r uniform in
     [0, 1.5] on a random mode. Spans generic symplectics without Haar
@@ -243,10 +244,8 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, layers: int | None
     the generator state. The gate matrices are multiplied, each on the
     left, and only the product is checked to be symplectic.
     """
-    if layers is None:
-        layers = 3 * n_modes
     s = np.eye(2 * n_modes)
-    for _ in range(layers):
+    for _ in range(3 * n_modes):
         if n_modes >= 2:
             i, j = rng.choice(n_modes, size=2, replace=False)
             block = _gate_block("beamsplitter", rng.uniform(0.0, 2.0 * math.pi))
@@ -412,8 +411,8 @@ class ConditionalOutput:
     ``disp_signal`` carries the signal amplitude and is outcome-independent,
     ``disp_offset`` is affine in the measurement outcome. Both branches share
     the covariance ``shared_cov`` exactly (same formula, no outcome
-    dependence); ``weight_plus/minus`` are the priors times the normalized
-    outcome densities.
+    dependence); ``weight_plus/minus`` are half the normalized outcome
+    densities, the prior of each sign being 1/2.
     """
 
     state_plus: GaussianState
@@ -466,8 +465,8 @@ def binary_conditional_output(
     return ConditionalOutput(
         state_plus=GaussianState(cov, disp_offset + disp_signal),
         state_minus=GaussianState(cov, disp_offset - disp_signal),
-        weight_plus=ensemble.p_plus * dens_plus,
-        weight_minus=ensemble.p_minus * dens_minus,
+        weight_plus=0.5 * dens_plus,
+        weight_minus=0.5 * dens_minus,
         shared_cov=cov,
         disp_signal=disp_signal,
         disp_offset=disp_offset,

@@ -14,19 +14,15 @@ in every estimate. The uniforms are drawn in chunks, with the values of one
 ``[master_seed, point_index]`` to ``SeedSequence``, a counter-based mix that
 makes per-point streams independent of evaluation order.
 
-Trial signs are not drawn independently: the sign sequence is a
-deterministic stratification (trial ``i`` is "plus" exactly when
-``floor((i+1) p_plus)`` exceeds ``floor(i p_plus)``), which realizes the
-priors to within one trial out of ``trials`` (exactly, whenever
-``p_plus * trials`` is integral) and leaves the clicks as the only
-stochastic element. This is a variance reduction: the binomial standard
-error reported alongside is computed as if signs were i.i.d. and is
-therefore conservative. The sign mask is cached per ``(trials, p_plus)``.
+Trial signs are not drawn independently: they alternate, trial ``i`` being
+"plus" exactly when ``i`` is odd, so exactly ``floor(trials / 2)`` trials
+send plus and the clicks are the only stochastic element. This is a
+variance reduction: the binomial standard error reported alongside is
+computed as if signs were i.i.d. and is therefore conservative.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -47,8 +43,13 @@ __all__ = [
 
 RNG_ID = "numpy.random.Generator(PCG64)/SeedSequence"
 
-#: Trials per chunk of the uniform stream: in L2, and whole bytes of the mask.
+#: Trials per chunk of the uniform stream, sized to stay in L2.
 _CHUNK = 1 << 16
+
+#: Sent signs of one chunk, plus at odd trials. Chunks start at even trials,
+#: so every chunk reads a prefix of this one read-only array.
+_PLUS = np.arange(_CHUNK) % 2 == 1
+_PLUS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -95,28 +96,12 @@ def derive_point_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-@functools.lru_cache(maxsize=1)
-def _plus_mask(trials: int, p_plus: float) -> tuple[np.ndarray, int]:
-    """Read-only stratified sign mask, packed 8 trials a byte, and its plus count."""
-    packed = np.empty(-(-trials // 8), dtype=np.uint8)
-    for lo in range(0, trials, _CHUNK):
-        f = np.arange(lo, min(lo + _CHUNK, trials) + 1, dtype=float) * p_plus
-        np.floor(f, out=f)
-        packed[lo // 8 : (lo + _CHUNK) // 8] = np.packbits(f[1:] > f[:-1])
-    packed.setflags(write=False)
-    return packed, int(np.count_nonzero(np.unpackbits(packed)))
-
-
-def _stratified_plus_mask(trials: int, p_plus: float) -> np.ndarray:
-    return np.unpackbits(_plus_mask(trials, p_plus)[0], count=trials).view(bool)
-
-
 def simulate_type2(config: McConfig) -> McEstimate:
     """Run the click simulation and report the error fraction.
 
     Decision rule: click decides "plus", no click decides "minus" (the
     displacement nulls the minus branch). A trial is an error when the
-    decision differs from the stratified sent sign. Fully deterministic
+    decision differs from the alternating sent sign. Fully deterministic
     given (seed, trials, parameters).
     """
     ens, det = config.ensemble, config.detector
@@ -124,12 +109,12 @@ def simulate_type2(config: McConfig) -> McEstimate:
         s: -math.expm1(-(det.nu + det.eta * mean_intensity(s, ens, config.gamma, det)))
         for s in (1, -1)
     }
-    packed, errors = _plus_mask(config.trials, ens.p_plus)
+    errors = config.trials // 2
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     # plus without a click, minus with one; a trial clicks when u < p_on
     for lo in range(0, config.trials, _CHUNK):
         u = rng.random(min(_CHUNK, config.trials - lo))
-        sent = np.unpackbits(packed[lo // 8 : (lo + _CHUNK) // 8], count=len(u)).view(bool)
+        sent = _PLUS[: len(u)]
         errors += np.count_nonzero((u < p_on[-1]) & ~sent) - np.count_nonzero((u < p_on[1]) & sent)
     p_hat = errors / config.trials
     return McEstimate(
@@ -144,22 +129,19 @@ def simulate_type2(config: McConfig) -> McEstimate:
 def sweep_montecarlo(grid, template: McConfig) -> list[McEstimate]:
     """Simulate a list of ``alpha^2`` grid points.
 
-    Each point rebuilds the ensemble at the grid amplitude (priors carried
-    over from the template), re-solves the optimal displacement for the
-    template's detector, and runs `simulate_type2` with the seed
-    ``derive_point_seed(template.seed, index)``; the template's own gamma is
-    ignored; each estimate carries the gamma it was run with. A one-point
-    sweep therefore equals a direct `simulate_type2` call with that derived
-    seed and solved gamma.
+    Each point rebuilds the ensemble at the grid amplitude, re-solves the
+    optimal displacement for the template's detector, and runs
+    `simulate_type2` with the seed ``derive_point_seed(template.seed,
+    index)``; the template's own gamma is ignored; each estimate carries the
+    gamma it was run with. A one-point sweep therefore equals a direct
+    `simulate_type2` call with that derived seed and solved gamma.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
     out = []
     for index, alpha_sq in enumerate(grid):
-        ensemble = BinaryEnsemble(
-            math.sqrt(alpha_sq), template.ensemble.p_plus, template.ensemble.p_minus
-        )
+        ensemble = BinaryEnsemble(math.sqrt(alpha_sq))
         gamma = solve_type2_gamma_imperfect(ensemble.alpha, template.detector).value
         out.append(
             simulate_type2(

@@ -411,26 +411,14 @@ def _erfc(a: float) -> float:
 
 
 def bayes_error_from_contrast(ensemble: BinaryEnsemble, e: float) -> float:
-    """Bayesian error probability of a Gaussian measurement with sharpness e.
-
-    Equal priors give ``erfc(sqrt(2) e alpha) / 2``. General priors shift the
-    decision threshold, adding ``+- ln(p+/p-) / (4 e sqrt(2) alpha)`` inside
-    the two erfc terms. Degenerate cases: zero amplitude or ``e = 0`` carry
-    no information, so the best strategy guesses the larger prior.
+    """Bayesian error probability of a Gaussian measurement with sharpness e:
+    ``erfc(sqrt(2) e alpha) / 2``. Zero amplitude or ``e = 0`` carry no
+    information, so the best strategy guesses and errs half the time.
     """
     alpha = ensemble.alpha
-    if ensemble.p_plus == 0.0 or ensemble.p_minus == 0.0:
-        return 0.0
     if alpha == 0.0 or e <= 0.0:
-        return min(ensemble.p_plus, ensemble.p_minus)
-    arg = e * math.sqrt(2.0) * alpha
-    if ensemble.equal_priors:
-        return float(0.5 * _erfc(arg))
-    shift = math.log(ensemble.p_plus / ensemble.p_minus) / (4.0 * arg)
-    return float(
-        0.5
-        * (ensemble.p_plus * _erfc(arg + shift) + ensemble.p_minus * _erfc(arg - shift))
-    )
+        return 0.5
+    return float(0.5 * _erfc(e * math.sqrt(2.0) * alpha))
 
 
 @dataclass(frozen=True)

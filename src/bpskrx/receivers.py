@@ -1,7 +1,7 @@
 """Closed-form error probabilities of the binary coherent-state receivers.
 
-Everything here evaluates the equal-prior discrimination error of the
-ensemble {|alpha>, |-alpha>}: the quantum-mechanical floor, the sharp
+Everything here evaluates the discrimination error of the ensemble
+{|alpha>, |-alpha>}: the quantum-mechanical floor, the sharp
 homodyne (Gaussian) limit, and the photon-counting receivers that displace
 (and optionally squeeze) the signal before an on/off detector.
 
@@ -52,16 +52,9 @@ __all__ = [
 ]
 
 
-def _require(
-    what: str, ensemble: BinaryEnsemble, detector: DetectorModel | None = None
-) -> None:
-    """The receivers' guards: equal priors, then tau = xi = 1 if ``detector``."""
-    if not ensemble.equal_priors:
-        raise UnsupportedConfigurationError(
-            f"{what} is defined here for equal priors only "
-            f"(got p_plus={ensemble.p_plus}, p_minus={ensemble.p_minus})"
-        )
-    if detector is not None and not detector.ideal_coupling:
+def _require(what: str, detector: DetectorModel) -> None:
+    """The coupling guard: ``what`` is implemented for tau = xi = 1 only."""
+    if not detector.ideal_coupling:
         raise UnsupportedConfigurationError(
             f"{what} assumes tau = xi = 1; use the imperfect variant "
             f"(got tau={detector.tau}, xi={detector.xi})"
@@ -82,17 +75,13 @@ def helstrom(ensemble: BinaryEnsemble) -> float:
     keeps full relative precision deep into the tail (the naive difference
     dies at ~1e-17).
     """
-    _require("the minimum-error bound", ensemble)
     u = math.exp(-4.0 * ensemble.alpha**2)
     return u / (2.0 * (1.0 + math.sqrt(1.0 - u)))
 
 
 def homodyne_limit(ensemble: BinaryEnsemble) -> float:
-    """Error of ideal sharp x-homodyne, the best Gaussian strategy.
-
-    Equal priors give ``erfc(sqrt(2) alpha)/2``; general priors shift the
-    decision threshold (handled by the shared Bayes formula at sharpness 1).
-    """
+    """Error of ideal sharp x-homodyne, the best Gaussian strategy:
+    ``erfc(sqrt(2) alpha)/2``, the shared Bayes formula at sharpness 1."""
     return bayes_error_from_contrast(ensemble, 1.0)
 
 
@@ -103,16 +92,14 @@ def homodyne_limit_attenuated(ensemble: BinaryEnsemble, detector: DetectorModel)
     that lose a tau fraction of the signal in a tap beamsplitter; emitted
     separately so either convention can be read off.
     """
-    attenuated = BinaryEnsemble(
-        math.sqrt(detector.tau) * ensemble.alpha, ensemble.p_plus, ensemble.p_minus
-    )
+    attenuated = BinaryEnsemble(math.sqrt(detector.tau) * ensemble.alpha)
     return bayes_error_from_contrast(attenuated, 1.0)
 
 
 def _click_result(
     tag: str, ensemble: BinaryEnsemble, gamma: float, detector: DetectorModel
 ) -> ReceiverResult:
-    """Row ``tag``: equal-prior error of a displacement receiver with nulling
+    """Row ``tag``: error of a displacement receiver with nulling
     amplitude ``gamma`` under the full detector model.
 
     Exponent bookkeeping: with ``a = eta (tau alpha^2 + gamma^2)`` and
@@ -142,7 +129,6 @@ def kennedy_error(
     ``exp(-4 alpha^2)/2`` at eta = 1, nu = 0). See `kennedy_raw_error` for
     the variant that ignores the attenuation when aiming.
     """
-    _require("the displacement receiver", ensemble)
     gamma = math.sqrt(detector.tau) * ensemble.alpha
     return _click_result(coupled_tag("kennedy", detector), ensemble, gamma, detector)
 
@@ -155,7 +141,6 @@ def kennedy_raw_error(
     Uses ``gamma = alpha`` regardless of tau, the convention of a receiver
     calibrated before the loss. Coincides with `kennedy_error` at tau = 1.
     """
-    _require("the displacement receiver", ensemble)
     return _click_result("kennedy_raw", ensemble, ensemble.alpha, detector)
 
 
@@ -170,7 +155,7 @@ def type2_error(
     non-optimized receiver and strictly below the homodyne limit. This is
     the ideal-coupling case of `type2_imperfect_error`.
     """
-    _require("the optimized displacement receiver", ensemble, detector)
+    _require("the optimized displacement receiver", detector)
     return type2_imperfect_error(ensemble, detector)
 
 
@@ -185,7 +170,7 @@ def type1_error(
     worse. At alpha = 0 every (beta, r) gives P = 1/2, so there is no
     optimum to report and the call raises UnsupportedConfigurationError.
     """
-    _require("the squeeze-displace receiver", ensemble, detector)
+    _require("the squeeze-displace receiver", detector)
     if ensemble.alpha == 0.0:
         raise UnsupportedConfigurationError(
             "the squeeze-displace receiver has no optimum at alpha = 0: "
@@ -230,7 +215,6 @@ def type2_imperfect_error(
     gamma^2)) sinh(2 eta xi sqrt(tau) alpha gamma)`` (stable form). At
     ``tau = xi = 1`` the row is tagged ``type2``.
     """
-    _require("the optimized displacement receiver", ensemble)
     gamma = solve_type2_gamma_imperfect(ensemble.alpha, detector).value
     return _click_result(coupled_tag("type2", detector), ensemble, gamma, detector)
 

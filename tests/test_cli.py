@@ -1,5 +1,6 @@
 """End-to-end CLI runs (direct main() calls) and the CSV/SVG round trip."""
 
+import argparse
 import math
 import os
 import re
@@ -272,6 +273,20 @@ def test_linspace_equals_numpy_bitwise():
         cli._linspace(0.0, 1.0, -1)
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.001, 5.0), (0.01, 10.0), (0.03, 7.0), (0.2, 3.0), (1e-5, 0.7), (0.05, 40.0), (2.5, 1e300)],
+)
+def test_log_grid_ends_at_the_bounds(lo, hi):
+    """The log grid starts and ends at exactly the bounds given, though
+    10 ** log10(bound) is often an ulp off; the inner points are 10 ** x."""
+    args = argparse.Namespace(alpha_sq_min=lo, alpha_sq_max=hi, points=60, scale="log")
+    grid = cli._alpha_grid(args)
+    inner = [10.0 ** x for x in cli._linspace(math.log10(lo), math.log10(hi), 60)]
+    assert grid[0] == lo and grid[-1] == hi
+    assert grid[1:-1] == inner[1:-1]
+
+
 def test_montecarlo_csv(tmp_path):
     out = tmp_path / "mc.csv"
     argv = [
@@ -452,11 +467,13 @@ def test_csv_rejects_unknown_tag(tmp_path):
 
 
 def test_csv_rejects_unknown_provenance(tmp_path):
+    """Only "analytic" and "montecarlo" are written; "fock" is not one."""
     path = tmp_path / "prov.csv"
-    path.write_text(CSV_HEADER + "\n0.5,helstrom,,,,,0.1,,,,guess,\n")
-    with pytest.raises(CsvFormatError, match="unknown provenance 'guess'") as err:
-        read_csv(path)
-    assert err.value.line == 2
+    for tag in ("guess", "fock"):
+        path.write_text(CSV_HEADER + f"\n0.5,helstrom,,,,,0.1,,,,{tag},\n")
+        with pytest.raises(CsvFormatError, match=f"unknown provenance '{tag}'") as err:
+            read_csv(path)
+        assert err.value.line == 2
 
 
 @pytest.mark.parametrize("text, line", [("", 1), ("# a=1\n", 2)], ids=["empty", "metadata-only"])

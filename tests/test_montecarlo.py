@@ -9,11 +9,10 @@ import pytest
 from bpskrx.core import BinaryEnsemble, DetectorModel
 from bpskrx.montecarlo import (
     _CHUNK,
+    _PLUS,
     RNG_ID,
     McConfig,
     McEstimate,
-    _plus_mask,
-    _stratified_plus_mask,
     derive_point_seed,
     simulate_type2,
     sweep_montecarlo,
@@ -94,10 +93,11 @@ def test_single_trial():
 
 def test_degenerate_detector_never_clicks():
     """eta = nu = 0: no clicks ever, every plus-trial errs, none of the
-    minus trials do, so p_hat is the plus prior exactly."""
+    minus trials do, so p_hat is the plus share floor(trials / 2) / trials."""
     det = DetectorModel(eta=0.0, nu=0.0)
-    est = simulate_type2(_config(0.8, det, trials=10000, gamma=0.3))
-    assert est.p_hat == 0.5
+    for trials in (10000, 10001):
+        est = simulate_type2(_config(0.8, det, trials=trials, gamma=0.3))
+        assert est.p_hat == (trials // 2) / trials
 
 
 def test_degenerate_detector_always_clicks():
@@ -167,26 +167,17 @@ def test_derive_point_seed_spreads():
     assert derive_point_seed(20260814, 0) == derive_point_seed(20260814, 0)
 
 
-# 100 * 0.29 rounds to 28.999999999999996: a product just below an integer
-@pytest.mark.parametrize("p_plus", [0.5, 1 / 3, 0.3, 0.77, 0.999, 0.29])
-@pytest.mark.parametrize("trials", [1, 2, 7, 10**6 + 3])
-def test_stratified_mask_equals_two_floor_formula(trials, p_plus):
-    i = np.arange(trials, dtype=float)
-    ref = np.floor((i + 1.0) * p_plus) > np.floor(i * p_plus)
-    assert np.array_equal(_stratified_plus_mask(trials, p_plus), ref)
-
-
 @pytest.mark.parametrize("gamma", [0.4])
 def test_error_count_equals_click_comparison(gamma):
     """p_hat equals the count of trials whose click disagrees with the sent
-    sign, the click drawn as ``u < p_on[sign]`` from the same stream."""
+    sign, plus at odd trials, the click drawn as ``u < p_on[sign]`` from the
+    same stream."""
     det = DetectorModel(eta=0.8, nu=0.01)
-    for seed, p_plus, trials in [(1, 0.5, 10001), (2, 0.3, 777), (3, 0.77, 99999)]:
-        ens = BinaryEnsemble(0.6, p_plus, 1.0 - p_plus)
-        p_on = {s: -math.expm1(-(det.nu + det.eta * mean_intensity(s, ens, gamma, det)))
-                for s in (1, -1)}
-        i = np.arange(trials, dtype=float)
-        plus = np.floor((i + 1.0) * p_plus) > np.floor(i * p_plus)
+    ens = BinaryEnsemble(0.6)
+    p_on = {s: -math.expm1(-(det.nu + det.eta * mean_intensity(s, ens, gamma, det)))
+            for s in (1, -1)}
+    for seed, trials in [(1, 10001), (2, 777), (3, 99999)]:
+        plus = np.arange(trials) % 2 == 1
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         clicks = rng.random(trials) < np.where(plus, p_on[1], p_on[-1])
         errors = int(np.count_nonzero(clicks != plus))
@@ -200,42 +191,42 @@ def _one_shot_p_hat(config):
     ens, det = config.ensemble, config.detector
     p_on = {s: -math.expm1(-(det.nu + det.eta * mean_intensity(s, ens, config.gamma, det)))
             for s in (1, -1)}
-    f = np.floor(np.arange(config.trials + 1, dtype=float) * ens.p_plus)
-    plus = f[1:] > f[:-1]
+    plus = np.arange(config.trials) % 2 == 1
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     u = rng.random(config.trials)
     misses = np.count_nonzero(plus) - np.count_nonzero((u < p_on[1]) & plus)
     return int(misses + np.count_nonzero((u < p_on[-1]) & ~plus)) / config.trials
 
 
-@pytest.mark.parametrize("p_plus", [0.5, 1 / 3, 0.3, 0.77, 0.999, 0.29])
-@pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 10**6])
-def test_chunked_stream_equals_one_shot(trials, p_plus):
+@pytest.mark.parametrize(
+    "trials",
+    [*range(1, 30), _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK,
+     3 * _CHUNK + 7, 10**6, 10**6 + 1],
+)
+def test_chunked_stream_equals_one_shot(trials):
     """Drawing the uniforms chunk by chunk and counting per chunk gives the
-    bits of one draw of the whole stream, at and around chunk edges."""
-    ens = BinaryEnsemble(0.7, p_plus, 1.0 - p_plus)
-    config = McConfig(trials, 7 + trials, ens, FIG4_DETECTOR, 0.5)
+    bits of one draw of the whole stream, at and around chunk edges, for odd
+    and even counts and a seeded random detector."""
+    rng = np.random.default_rng(trials)
+    det = DetectorModel(eta=rng.uniform(), nu=rng.uniform(0.0, 0.1),
+                        tau=rng.uniform(0.5, 1.0), xi=rng.uniform(0.5, 1.0))
+    ens = BinaryEnsemble(rng.uniform(0.0, 1.5))
+    config = McConfig(trials, 7 + trials, ens, det, rng.uniform(0.0, 1.5))
     assert simulate_type2(config).p_hat == _one_shot_p_hat(config)
 
 
-def test_plus_mask_cache_holds_one_read_only_mask():
-    """The sign mask is cached packed eight trials a byte, read-only, with
-    its plus count; a second (trials, p_plus) pair replaces the first."""
-    packed, count = _plus_mask(1003, 0.3)
-    mask = _stratified_plus_mask(1003, 0.3)
-    assert packed.nbytes == 126 and count == int(np.count_nonzero(mask)) == 300
-    assert np.array_equal(np.unpackbits(packed, count=1003).view(bool), mask)
+def test_sign_array_is_read_only():
+    """Every chunk reads a prefix of one module-level sign array: plus at
+    odd trials, and nothing may write to it."""
+    assert _PLUS.shape == (_CHUNK,) and _PLUS.dtype == bool
+    assert np.array_equal(_PLUS, np.arange(_CHUNK) % 2 == 1)
     with pytest.raises(ValueError, match="read-only"):
-        packed[0] = 0
-    assert _plus_mask(1003, 0.3)[0] is packed
-    _plus_mask(1003, 0.4)
-    assert _plus_mask.cache_info().currsize == 1
-    assert _plus_mask(1003, 0.3)[0] is not packed
+        _PLUS[0] = True
 
 
 def test_repeated_call_allocates_per_chunk_not_per_trial():
-    """Once the mask is cached, a 2e6-trial call holds about one chunk of
-    uniforms and masks at a time, not arrays of length ``trials``."""
+    """A 2e6-trial call holds about one chunk of uniforms and masks at a
+    time, not arrays of length ``trials``."""
     config = _config(0.8, FIG4_DETECTOR, trials=2 * 10**6, gamma=0.8)
     simulate_type2(config)
     tracemalloc.start()
