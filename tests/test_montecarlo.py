@@ -167,6 +167,18 @@ def test_derive_point_seed_spreads():
     assert derive_point_seed(20260814, 0) == derive_point_seed(20260814, 0)
 
 
+@pytest.mark.parametrize("p_plus", [0.5])
+@pytest.mark.parametrize("trials", [1, 2, 7, 10**6 + 3])
+def test_stratified_mask_equals_two_floor_formula(trials, p_plus):
+    """At p = 1/2 the stratified sign sequence floor((i + 1) p) > floor(i p)
+    is "odd i sends plus", which the chunks read as prefixes of _PLUS; an
+    even _CHUNK keeps the parity across chunk edges."""
+    i = np.arange(trials, dtype=float)
+    ref = np.floor((i + 1.0) * p_plus) > np.floor(i * p_plus)
+    sent = np.concatenate([_PLUS[: min(_CHUNK, trials - lo)] for lo in range(0, trials, _CHUNK)])
+    assert np.array_equal(sent, ref)
+
+
 @pytest.mark.parametrize("gamma", [0.4])
 def test_error_count_equals_click_comparison(gamma):
     """p_hat equals the count of trials whose click disagrees with the sent
@@ -198,12 +210,23 @@ def _one_shot_p_hat(config):
     return int(misses + np.count_nonzero((u < p_on[-1]) & ~plus)) / config.trials
 
 
+@pytest.mark.parametrize("eta", [0.5, 1 / 3, 0.3, 0.77, 0.999, 0.29])
+@pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 10**6])
+def test_chunked_stream_equals_one_shot(trials, eta):
+    """Drawing the uniforms chunk by chunk and counting per chunk gives the
+    bits of one draw of the whole stream, at and around chunk edges, over a
+    range of detector efficiencies."""
+    det = DetectorModel(eta=eta, nu=1e-3, tau=0.99, xi=0.995)
+    config = McConfig(trials, 7 + trials, BinaryEnsemble(0.7), det, 0.5)
+    assert simulate_type2(config).p_hat == _one_shot_p_hat(config)
+
+
 @pytest.mark.parametrize(
     "trials",
     [*range(1, 30), _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK,
      3 * _CHUNK + 7, 10**6, 10**6 + 1],
 )
-def test_chunked_stream_equals_one_shot(trials):
+def test_chunked_stream_equals_one_shot_random_detector(trials):
     """Drawing the uniforms chunk by chunk and counting per chunk gives the
     bits of one draw of the whole stream, at and around chunk edges, for odd
     and even counts and a seeded random detector."""
@@ -215,7 +238,7 @@ def test_chunked_stream_equals_one_shot(trials):
     assert simulate_type2(config).p_hat == _one_shot_p_hat(config)
 
 
-def test_sign_array_is_read_only():
+def test_plus_mask_cache_holds_one_read_only_mask():
     """Every chunk reads a prefix of one module-level sign array: plus at
     odd trials, and nothing may write to it."""
     assert _PLUS.shape == (_CHUNK,) and _PLUS.dtype == bool

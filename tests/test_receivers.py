@@ -1,5 +1,6 @@
 """Error-probability formulas for each receiver and their orderings."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -169,6 +170,16 @@ def test_kennedy_homodyne_crossover_bracket():
 
     assert gap(0.35) > 0 > gap(0.45)
     assert gap(0.38409927839541491 - 1e-6) > 0 > gap(0.38409927839541491 + 1e-6)
+
+
+def test_unequal_priors_rejected_where_unsupported():
+    """The signal is sent with equal priors; no receiver takes others, and
+    an ensemble built with priors fails at construction, not later."""
+    with pytest.raises(TypeError):
+        BinaryEnsemble(0.5, 0.4, 0.6)
+    with pytest.raises(TypeError):
+        BinaryEnsemble(0.5, p_plus=0.4)
+    assert [f.name for f in dataclasses.fields(BinaryEnsemble)] == ["alpha"]
 
 
 def test_coupled_loss_rejected_for_squeezing_receivers():
