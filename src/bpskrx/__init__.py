@@ -56,11 +56,11 @@ __version__ = "0.1.0"
 #: Names of the layers that need numpy, resolved on first use and then cached
 #: in the module globals (PEP 562), so ``import bpskrx`` loads no numpy.
 _LAZY = {name: module for module, names in (
-    ("gaussian", """ConditionalOutput ConditionedState GaussianMeasurementSpec GaussianPovm
+    ("gaussian", """ConditionalOutput ConditionedState GaussianMeasurementSpec
         GaussianState SymplecticOp apply_gaussian_unitary beamsplitter
         binary_conditional_output coherent_state condition_on_partial_measurement
-        measurement_cov phase_rotation povm_from_physical_model pure_normal_form
-        random_symplectic squeezer symplectic_form tensor vacuum"""),
+        measurement_cov phase_rotation pure_normal_form random_symplectic squeezer
+        symplectic_form tensor vacuum"""),
     ("fock", "receiver_error_fock"),
     ("montecarlo", "McConfig McEstimate RNG_ID derive_point_seed simulate_type2 sweep_montecarlo"),
 ) for name in names.split()}

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import TruncationError
 
-__all__ = ["PAD", "receiver_error_fock"]
+__all__ = ["receiver_error_fock"]
 
 #: Extra levels the vectors are evolved on before the detector reads them.
 PAD = 20

@@ -1,9 +1,9 @@
 """Multimode Gaussian-state algebra.
 
 Covariance-matrix representation of Gaussian states, symplectic transforms,
-partial Gaussian measurements with conditional outputs, and Gaussian-POVM
-derivation from a physical homodyne model, on numpy. The scalar sharpness
-factor and Bayes error of a single-mode measurement live in `optimize`.
+and partial Gaussian measurements with conditional outputs, on numpy. The
+scalar sharpness factor and Bayes error of a single-mode measurement live in
+`optimize`.
 
 Conventions (fixed throughout the package):
 
@@ -34,7 +34,6 @@ __all__ = [
     "GaussianMeasurementSpec",
     "ConditionedState",
     "ConditionalOutput",
-    "GaussianPovm",
     "symplectic_form",
     "vacuum",
     "coherent_state",
@@ -48,7 +47,6 @@ __all__ = [
     "condition_on_partial_measurement",
     "binary_conditional_output",
     "pure_normal_form",
-    "povm_from_physical_model",
 ]
 
 #: Condition-number guard for every matrix solve in this module.
@@ -78,28 +76,30 @@ def _block_diag(blocks) -> np.ndarray:
     return out
 
 
-def _check_uncertainty(cov: np.ndarray, what: str, scale: float | None = None) -> None:
-    """Assert cov + i*Omega >= 0: eigenvalues above -1e-10 times ``scale``
-    (default: the largest |entry| of cov), or times 1 if that is larger."""
-    n = cov.shape[0] // 2
-    low = np.linalg.eigvalsh(cov + 1j * symplectic_form(n)).min(initial=0.0)
-    if scale is None:
-        scale = float(np.abs(cov).max(initial=0.0))
-    if low < -1e-10 * max(1.0, scale):
-        raise ValueError(
-            f"{what} violates the uncertainty relation: min eig(cov + i Omega) = {low:.3e}"
-        )
+def _finite(a, what: str) -> np.ndarray:
+    """Float copy of ``a``, checked to hold no NaN or infinity; ``what``
+    names it in the error."""
+    a = np.array(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    return a
 
 
 def _checked_cov(cov, what: str) -> np.ndarray:
-    """Float copy of a covariance, checked to be 2n x 2n, symmetric within
-    1e-12 and within the uncertainty relation; ``what`` names it in errors."""
-    cov = np.array(cov, dtype=float)
+    """Finite float copy of a covariance, checked to be 2n x 2n, symmetric
+    within 1e-12 and to satisfy cov + i*Omega >= 0: eigenvalues above -1e-10
+    times its largest |entry|, or times 1 if that is larger. ``what`` names
+    it in errors."""
+    cov = _finite(cov, what)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise DimensionMismatchError(f"{what} shape {cov.shape} is not 2n x 2n")
     if np.abs(cov - cov.T).max(initial=0.0) > 1e-12:
         raise ValueError(f"{what} is not symmetric within 1e-12")
-    _check_uncertainty(cov, what)
+    low = np.linalg.eigvalsh(cov + 1j * symplectic_form(len(cov) // 2)).min(initial=0.0)
+    if low < -1e-10 * max(1.0, float(np.abs(cov).max(initial=0.0))):
+        raise ValueError(
+            f"{what} violates the uncertainty relation: min eig(cov + i Omega) = {low:.3e}"
+        )
     return cov
 
 
@@ -108,12 +108,6 @@ def _freeze(obj, **arrays: np.ndarray) -> None:
     for name, a in arrays.items():
         a.setflags(write=False)
         object.__setattr__(obj, name, a)
-
-
-def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Moduli of the eigenvalues of ``Omega cov``, unsorted: each symplectic
-    eigenvalue appears twice."""
-    return np.abs(np.linalg.eigvals(symplectic_form(len(cov) // 2) @ cov))
 
 
 @dataclass(frozen=True)
@@ -133,7 +127,7 @@ class GaussianState:
 
     def __post_init__(self):
         cov = _checked_cov(self.cov, "state covariance")
-        disp = np.array(self.disp, dtype=float)
+        disp = _finite(self.disp, "displacement")
         if disp.shape != (cov.shape[0],):
             raise DimensionMismatchError(
                 f"displacement shape {disp.shape} does not match covariance {cov.shape}"
@@ -143,14 +137,6 @@ class GaussianState:
     @property
     def n_modes(self) -> int:
         return self.disp.shape[0] // 2
-
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        """Sorted symplectic eigenvalues (each appears twice in the output)."""
-        return np.sort(_symplectic_eigenvalues(self.cov))
-
-    def is_pure(self) -> bool:
-        """Every symplectic eigenvalue is 1 within 1e-6."""
-        return bool(np.abs(self.symplectic_eigenvalues() - 1.0).max(initial=0.0) <= 1e-6)
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -174,26 +160,22 @@ def tensor(*states: GaussianState) -> GaussianState:
 
 @dataclass(frozen=True)
 class SymplecticOp:
-    """Gaussian unitary in phase space: ``z -> S z + offset``."""
+    """Gaussian unitary in phase space: ``z -> S z``."""
 
     matrix: np.ndarray
-    offset: np.ndarray
 
     def __post_init__(self):
-        s = np.array(self.matrix, dtype=float)
-        d = np.array(self.offset, dtype=float)
+        s = _finite(self.matrix, "symplectic matrix")
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
             raise DimensionMismatchError(f"symplectic matrix shape {s.shape}")
-        if d.shape != (s.shape[0],):
-            raise DimensionMismatchError("offset length does not match matrix")
         omega = symplectic_form(s.shape[0] // 2)
         if np.abs(s @ omega @ s.T - omega).max() > 1e-10:
             raise ValueError("matrix is not symplectic within 1e-10")
-        _freeze(self, matrix=s, offset=d)
+        _freeze(self, matrix=s)
 
     @property
     def n_modes(self) -> int:
-        return self.offset.shape[0] // 2
+        return self.matrix.shape[0] // 2
 
 
 def _embed(n_modes: int, modes: tuple[int, ...], block: np.ndarray) -> np.ndarray:
@@ -220,17 +202,17 @@ def beamsplitter(theta: float, n_modes: int = 2, modes: tuple[int, int] = (0, 1)
 
     ``theta = pi/4`` is the balanced (50:50) splitter.
     """
-    return SymplecticOp(_embed(n_modes, modes, _gate_block("beamsplitter", theta)), np.zeros(2 * n_modes))
+    return SymplecticOp(_embed(n_modes, modes, _gate_block("beamsplitter", theta)))
 
 
 def phase_rotation(phi: float, n_modes: int = 1, mode: int = 0) -> SymplecticOp:
     """Single-mode phase-space rotation by angle ``phi``."""
-    return SymplecticOp(_embed(n_modes, (mode,), _gate_block("rotation", phi)), np.zeros(2 * n_modes))
+    return SymplecticOp(_embed(n_modes, (mode,), _gate_block("rotation", phi)))
 
 
 def squeezer(r: float, n_modes: int = 1, mode: int = 0) -> SymplecticOp:
     """Single-mode squeezer: x -> exp(-r) x, p -> exp(r) p."""
-    return SymplecticOp(_embed(n_modes, (mode,), _gate_block("squeezer", r)), np.zeros(2 * n_modes))
+    return SymplecticOp(_embed(n_modes, (mode,), _gate_block("squeezer", r)))
 
 
 def random_symplectic(n_modes: int, rng: np.random.Generator) -> SymplecticOp:
@@ -254,7 +236,7 @@ def random_symplectic(n_modes: int, rng: np.random.Generator) -> SymplecticOp:
         s = _embed(n_modes, (int(rng.integers(n_modes)),), block) @ s
         block = _gate_block("squeezer", rng.uniform(0.0, 1.5))
         s = _embed(n_modes, (int(rng.integers(n_modes)),), block) @ s
-    return SymplecticOp(s, np.zeros(2 * n_modes))
+    return SymplecticOp(s)
 
 
 def measurement_cov(r: float, phi: float) -> np.ndarray:
@@ -281,7 +263,7 @@ class GaussianMeasurementSpec:
 
     def __post_init__(self):
         cov = _checked_cov(self.cov, "measurement covariance")
-        outcome = np.array(self.outcome, dtype=float)
+        outcome = _finite(self.outcome, "outcome")
         if outcome.shape != (cov.shape[0],):
             raise DimensionMismatchError("outcome length does not match covariance")
         _freeze(self, cov=cov, outcome=outcome)
@@ -306,14 +288,14 @@ class GaussianMeasurementSpec:
 
 
 def apply_gaussian_unitary(state: GaussianState, op: SymplecticOp) -> GaussianState:
-    """Transform a state: cov -> S cov S^T, disp -> S disp + offset."""
+    """Transform a state: cov -> S cov S^T, disp -> S disp."""
     if op.n_modes != state.n_modes:
         raise DimensionMismatchError(
             f"op acts on {op.n_modes} modes, state has {state.n_modes}"
         )
     cov = op.matrix @ state.cov @ op.matrix.T
     cov = 0.5 * (cov + cov.T)
-    return GaussianState(cov, op.matrix @ state.disp + op.offset)
+    return GaussianState(cov, op.matrix @ state.disp)
 
 
 def _schur(g: np.ndarray, na: int, shift: np.ndarray, rhs: np.ndarray, what: str):
@@ -409,7 +391,7 @@ class ConditionalOutput:
 
     The displacements decompose as ``D_pm = pm disp_signal + disp_offset``:
     ``disp_signal`` carries the signal amplitude and is outcome-independent,
-    ``disp_offset`` is affine in the measurement outcome. Both branches share
+    ``disp_offset`` is linear in the measurement outcome. Both branches share
     the covariance ``shared_cov`` exactly (same formula, no outcome
     dependence); ``weight_plus/minus`` are half the normalized outcome
     densities, the prior of each sign being 1/2.
@@ -445,22 +427,20 @@ def binary_conditional_output(
     d_sig = np.zeros(2 * m_modes)
     d_sig[0] = math.sqrt(2.0) * ensemble.alpha
     s_sig = s @ d_sig
-    offs = op.offset
 
-    # Both branches share the Schur complement; the trailing parts of the
-    # signal and of the offset are the two right-hand sides.
-    v_sig = s_sig[na:]
-    v_off = offs[na:] - meas.outcome
+    # Both branches share the Schur complement; the trailing part of the
+    # signal and the outcome are the two right-hand sides.
+    v_sig, v_out = s_sig[na:], meas.outcome
     cov, gain, w, logdet = _schur(
-        cov, na, meas.cov, np.column_stack([v_sig, v_off]), "B + gamma_M"
+        cov, na, meas.cov, np.column_stack([v_sig, v_out]), "B + gamma_M"
     )
     cov.setflags(write=False)
-    w_sig, w_off = w[:, 0], w[:, 1]
+    w_sig, w_out = w[:, 0], w[:, 1]
     disp_signal = s_sig[:na] - gain.T @ v_sig
-    disp_offset = offs[:na] - gain.T @ v_off
+    disp_offset = gain.T @ v_out
     log_norm = -k * math.log(math.pi) - 0.5 * logdet
-    dens_plus = math.exp(log_norm - float((v_off + v_sig) @ (w_off + w_sig)))
-    dens_minus = math.exp(log_norm - float((v_off - v_sig) @ (w_off - w_sig)))
+    dens_plus = math.exp(log_norm - float((v_sig - v_out) @ (w_sig - w_out)))
+    dens_minus = math.exp(log_norm - float((v_sig + v_out) @ (w_sig + w_out)))
 
     return ConditionalOutput(
         state_plus=GaussianState(cov, disp_offset + disp_signal),
@@ -490,89 +470,12 @@ def pure_normal_form(cov: np.ndarray) -> SymplecticOp:
     """
     from scipy.linalg import eigh
     cov = np.asarray(cov, dtype=float)
-    nus = _symplectic_eigenvalues(cov)
+    # moduli of the eigenvalues of Omega cov: each symplectic eigenvalue twice
+    nus = np.abs(np.linalg.eigvals(symplectic_form(len(cov) // 2) @ cov))
     worst = nus[np.argmax(np.abs(nus - 1.0))]
     if abs(worst - 1.0) > 1e-6:
         raise NotPureError(float(worst))
     w, v = eigh(cov)
     s_d = (v / np.sqrt(w)) @ v.T
     s_d = 0.5 * (s_d + s_d.T)
-    return SymplecticOp(s_d, np.zeros(len(cov)))
-
-
-@dataclass(frozen=True)
-class GaussianPovm:
-    """Effective Gaussian POVM element family on the signal modes.
-
-    ``cov`` is the (outcome-independent) POVM covariance; the POVM center for
-    homodyne record ``d_hd`` is the affine map ``delta(d_hd) = linear @ d_hd
-    + offset``.
-    """
-
-    cov: np.ndarray
-    linear: np.ndarray
-    offset: np.ndarray
-
-    def delta(self, d_hd: np.ndarray) -> np.ndarray:
-        return self.linear @ np.asarray(d_hd, dtype=float) + self.offset
-
-
-def povm_from_physical_model(
-    unitary: SymplecticOp,
-    n_signal: int,
-    aux: tuple[GaussianState, ...] = (),
-    squeeze_r: float = 8.0,
-) -> GaussianPovm:
-    """Effective POVM realized by mixing the signal with pure ancilla modes
-    through a Gaussian unitary and x-homodyning every output.
-
-    Each of the ``N = n_signal + n_aux`` output modes is measured with the
-    single-mode covariance ``diag(exp(-2 squeeze_r), exp(2 squeeze_r))``;
-    the sharp-homodyne limit is approximated by finite ``squeeze_r``
-    (default 8). Writing ``T = S^{-1}`` (the measurement covariance is
-    back-transported through the unitary, which for symplectic ``S`` is
-    ``T Gamma_HD T^T``; this reduces to ``S^T Gamma_HD S`` only when ``S``
-    is orthogonal) and splitting into signal/ancilla blocks A, B, C, the
-    POVM covariance is the Schur complement
-
-        Gamma = G_A - G_C (Gamma_aux + G_B)^{-1} G_C^T
-
-    and the POVM center is affine in the homodyne record ``d_hd``:
-
-        delta(d_hd) = [T (d_hd - off)]_A
-                      + G_C (Gamma_aux + G_B)^{-1} (d_aux - [T (d_hd - off)]_B).
-    """
-    if not math.isfinite(squeeze_r):
-        raise ValueError("squeeze_r must be finite (the sharp limit is approximated)")
-    n = unitary.n_modes
-    nb = n - n_signal
-    if nb < 0:
-        raise DimensionMismatchError("n_signal exceeds the unitary's mode count")
-    if sum(a.n_modes for a in aux) != nb:
-        raise DimensionMismatchError(
-            f"ancilla states cover {sum(a.n_modes for a in aux)} modes, need {nb}"
-        )
-    for a in aux:
-        if not a.is_pure():
-            raise NotPureError(float(a.symplectic_eigenvalues().max()))
-
-    l_hd = _block_diag([np.diag([math.exp(-squeeze_r), math.exp(squeeze_r)])] * n)
-    omega = symplectic_form(n)
-    t = -omega @ unitary.matrix.T @ omega  # symplectic inverse of S
-    tl = t @ l_hd
-    g = tl @ tl.T  # Gram form of T Gamma_HD T^T, positive by construction
-    na = 2 * n_signal
-    t_a, t_b = t[:na, :], t[na:, :]
-    d_bar = unitary.offset
-
-    g_aux = _block_diag([a.cov for a in aux])
-    d_aux = np.concatenate([a.disp for a in aux]) if aux else np.empty(0)
-    cov, gain, _, _ = _schur(g, na, g_aux, np.empty((2 * nb, 0)), "Gamma_aux + Gamma_B")
-    linear = t_a - gain.T @ t_b
-    offset = -linear @ d_bar + gain.T @ d_aux
-    # Physical-validity check. Models that realize heterodyne-like POVMs sit
-    # exactly on the boundary of cov + i Omega >= 0, and the achievable
-    # accuracy there is set by rounding in the exp(+-2 squeeze_r)-scaled
-    # intermediate, so the tolerance scales with that intermediate's size.
-    _check_uncertainty(cov, "derived POVM covariance", float(np.abs(g).max()))
-    return GaussianPovm(cov=cov, linear=linear, offset=offset)
+    return SymplecticOp(s_d)

@@ -412,13 +412,14 @@ def _erfc(a: float) -> float:
 
 def bayes_error_from_contrast(ensemble: BinaryEnsemble, e: float) -> float:
     """Bayesian error probability of a Gaussian measurement with sharpness e:
-    ``erfc(sqrt(2) e alpha) / 2``. Zero amplitude or ``e = 0`` carry no
+    ``erfc(sqrt(2 e) alpha) / 2``. The outcome densities N(+-mu, Sigma) have
+    ``mu^T Sigma^-1 mu = 4 e alpha^2``. Zero amplitude or ``e = 0`` carry no
     information, so the best strategy guesses and errs half the time.
     """
     alpha = ensemble.alpha
     if alpha == 0.0 or e <= 0.0:
         return 0.5
-    return float(0.5 * _erfc(e * math.sqrt(2.0) * alpha))
+    return float(0.5 * _erfc(math.sqrt(2.0 * e) * alpha))
 
 
 @dataclass(frozen=True)

@@ -95,11 +95,11 @@ EXPORTS = {
     ),
     "gaussian": (
         "ConditionalOutput", "ConditionedState", "GaussianMeasurementSpec",
-        "GaussianPovm", "GaussianState", "SymplecticOp", "apply_gaussian_unitary",
-        "beamsplitter", "binary_conditional_output", "coherent_state",
+        "GaussianState", "SymplecticOp", "apply_gaussian_unitary", "beamsplitter",
+        "binary_conditional_output", "coherent_state",
         "condition_on_partial_measurement", "measurement_cov", "phase_rotation",
-        "povm_from_physical_model", "pure_normal_form", "random_symplectic",
-        "squeezer", "symplectic_form", "tensor", "vacuum",
+        "pure_normal_form", "random_symplectic", "squeezer", "symplectic_form",
+        "tensor", "vacuum",
     ),
     "fock": ("receiver_error_fock",),
     "montecarlo": (
@@ -131,6 +131,19 @@ def test_package_names_are_the_submodules_objects(module):
     namespace = {}
     exec(f"from bpskrx import {', '.join(names)}", namespace)
     assert all(namespace[n] is getattr(sub, n) for n in names)
+
+
+LAZY_MODULES = ("gaussian", "fock", "montecarlo")
+
+
+@pytest.mark.parametrize("module", LAZY_MODULES)
+def test_lazy_table_equals_module_all(module):
+    """The package resolves lazily exactly the names each numpy layer
+    declares in ``__all__``: no more, no fewer."""
+    assert set(bpskrx._LAZY.values()) == set(LAZY_MODULES)
+    sub = importlib.import_module(f"bpskrx.{module}")
+    lazy = sorted(name for name, owner in bpskrx._LAZY.items() if owner == module)
+    assert lazy == sorted(sub.__all__)
 
 
 def test_package_unknown_attribute_raises():

@@ -55,15 +55,16 @@ RUNS = (
 #: re-pinned when the log alpha grid moved from ``np.logspace`` to
 #: ``10.0 ** x`` on Python floats (7 of 60 grid points moved by one ulp);
 #: the figure when the type1 optimum became one bracketed root in r; the
-#: other three date from before the receiver table and the shared Schur
-#: complement.
+#: landscape when its Bayes error became erfc(sqrt(2 e) alpha)/2 instead of
+#: erfc(sqrt(2) e alpha)/2; the two Monte Carlo files date from before the
+#: receiver table and the shared Schur complement.
 GOLDEN = {
     "sweep_default.csv": "7e8f1e18c223c4769d71acecfd4969f96fd6ca4a2a05f2f03aec142f81c029d8",
     "sweep_all_ideal.csv": "8f6983529eb62ed5a3dea362ecdc21cc6dc3dd45e61dbed5b9eab20237c64c69",
     "sweep_all_lossy.csv": "f1d700ae7842594031d6e51049582c82f62588821bbfe0e1da7956adc83ca966",
     "mc_ideal.csv": "e8d092c8df9067fea1cfd9dcd47f526717a96d696f60e879089230597c94382e",
     "mc_lossy.csv": "e15fd7e2d00af240a05b6ae7db2a3534a3bdcc63919e9bfd3abbbd5a68a77ac4",
-    "landscape.csv": "0e77eb3bb2169852205aba2568809c8881f136820e1a45be796f2d9031966451",
+    "landscape.csv": "224838fec07b9c34cf32144fa745fd0b6799e00ff7338145ef138df41f1a01d9",
     "figure.svg": "4a84ecdf1ee7ba608782a1623bb5dffd9c7949ca2775bbd1b8fb1fc2ce4b5b1a",
 }
 
