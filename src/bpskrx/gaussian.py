@@ -434,7 +434,6 @@ def binary_conditional_output(
     cov, gain, w, logdet = _schur(
         cov, na, meas.cov, np.column_stack([v_sig, v_out]), "B + gamma_M"
     )
-    cov.setflags(write=False)
     w_sig, w_out = w[:, 0], w[:, 1]
     disp_signal = s_sig[:na] - gain.T @ v_sig
     disp_offset = gain.T @ v_out
@@ -442,12 +441,16 @@ def binary_conditional_output(
     dens_plus = math.exp(log_norm - float((v_sig - v_out) @ (w_sig - w_out)))
     dens_minus = math.exp(log_norm - float((v_sig + v_out) @ (w_sig + w_out)))
 
+    # the covariance is checked once; the minus branch shares the checked array
+    state_plus = GaussianState(cov, disp_offset + disp_signal)
+    state_minus = object.__new__(GaussianState)
+    _freeze(state_minus, cov=state_plus.cov, disp=_finite(disp_offset - disp_signal, "displacement"))
     return ConditionalOutput(
-        state_plus=GaussianState(cov, disp_offset + disp_signal),
-        state_minus=GaussianState(cov, disp_offset - disp_signal),
+        state_plus=state_plus,
+        state_minus=state_minus,
         weight_plus=0.5 * dens_plus,
         weight_minus=0.5 * dens_minus,
-        shared_cov=cov,
+        shared_cov=state_plus.cov,
         disp_signal=disp_signal,
         disp_offset=disp_offset,
     )

@@ -46,10 +46,12 @@ RNG_ID = "numpy.random.Generator(PCG64)/SeedSequence"
 #: Trials per chunk of the uniform stream, sized to stay in L2.
 _CHUNK = 1 << 16
 
-#: Sent signs of one chunk, plus at odd trials. Chunks start at even trials,
-#: so every chunk reads a prefix of this one read-only array.
+#: Sent signs of one chunk, plus at odd trials, and their complement. Chunks
+#: start at even trials, so every chunk reads a prefix of these read-only arrays.
 _PLUS = np.arange(_CHUNK) % 2 == 1
+_MINUS = ~_PLUS
 _PLUS.setflags(write=False)
+_MINUS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -112,10 +114,15 @@ def simulate_type2(config: McConfig) -> McEstimate:
     errors = config.trials // 2
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     # plus without a click, minus with one; a trial clicks when u < p_on
+    size = min(_CHUNK, config.trials)
+    draws, hits = np.empty(size), np.empty(size, dtype=bool)
     for lo in range(0, config.trials, _CHUNK):
-        u = rng.random(min(_CHUNK, config.trials - lo))
-        sent = _PLUS[: len(u)]
-        errors += np.count_nonzero((u < p_on[-1]) & ~sent) - np.count_nonzero((u < p_on[1]) & sent)
+        n = min(_CHUNK, config.trials - lo)
+        u, hit = rng.random(out=draws[:n]), hits[:n]
+        np.less(u, p_on[-1], out=hit)
+        errors += np.count_nonzero(np.logical_and(hit, _MINUS[:n], out=hit))
+        np.less(u, p_on[1], out=hit)
+        errors -= np.count_nonzero(np.logical_and(hit, _PLUS[:n], out=hit))
     p_hat = errors / config.trials
     return McEstimate(
         p_hat=p_hat,

@@ -180,9 +180,14 @@ def test_expm_action_matches_dense_expm(k, n, x):
         assert np.abs((got**2).sum(axis=1) / start - 1.0).max() < 1e-13
 
 
-def _sparse_error_at_dim(alpha, beta, r, eta, nu, dim):
+def _sparse_error_at_dim(alpha, beta, r, eta, nu, dims):
     """The oracle's fixed-truncation step as it was on scipy's sparse
-    ``expm_multiply``, kept as an independent reference."""
+    ``expm_multiply``, kept as an independent reference: every truncation of
+    ``dims`` is evaluated on its own."""
+    return tuple(_sparse_error_at_one(alpha, beta, r, eta, nu, dim) for dim in dims)
+
+
+def _sparse_error_at_one(alpha, beta, r, eta, nu, dim):
     n = dim + PAD
     a = diags_array(np.sqrt(np.arange(1.0, n)), offsets=1, format="csr")
     psi = np.zeros((n, 2))
@@ -209,7 +214,8 @@ def _outcome(args):
 def test_oracle_matches_sparse_expm_multiply(monkeypatch):
     """On 64 seeded inputs of the cross-check box, and on two that cannot
     settle, the banded propagator gives the sparse evaluation's values to
-    1e-14 and raises on exactly the same inputs."""
+    1e-14 and raises on exactly the same inputs. The sparse step evaluates
+    each truncation of the adaptive search separately, the first pair too."""
     rng = np.random.default_rng(5151)
     inputs = [
         (rng.uniform(0.05, 2.0), rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8),
@@ -246,3 +252,44 @@ def test_oracle_leaves_global_rng_alone():
         np.random.seed(seed)
         runs.append([receiver_error_fock(*args).hex() for args in inputs])
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_truncation_pair_matches_separate_evaluations():
+    """Evolved together, the adaptive search's first pair (d, 2d) gives each
+    truncation's separate value: the larger one bitwise, since its rows set
+    the Taylor steps and the stop, the smaller one to 1e-14. The inputs are
+    seeded cross-check points, and two at d = 256 where the pair is far
+    from settled, so the smaller truncation's cut band is what sets its value."""
+    rng = np.random.default_rng(6262)
+    inputs = [
+        (rng.uniform(0.05, 2.0), rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8),
+         float(rng.choice([0.5, 0.9, 1.0])), float(rng.choice([0.0, 1e-3])))
+        for _ in range(24)
+    ] + [(2.0, 2.0, 2.0, 0.01, 0.0), (3.0, -2.0, 1.9, 0.0, 0.0)]
+    unsettled, worst = 0, 0.0
+    for alpha, beta, r, eta, nu in inputs:
+        args = (alpha, beta, r, eta, nu)
+        d = min(max(math.ceil(8.0 * (alpha + abs(beta) + 1.0) ** 2 * math.exp(2.0 * abs(r))), 8), 256)
+        small, big = fock._error_at_dim(*args, (d, 2 * d))
+        assert big == fock._error_at_dim(*args, (2 * d,))[0]
+        worst = max(worst, abs(small - fock._error_at_dim(*args, (d,))[0]))
+        unsettled += not abs(big - small) < 1e-10
+    print(f"pair vs separate, smaller truncation, worst |diff| = {worst:.3e}")
+    assert worst < 1e-14
+    assert unsettled >= 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(40.0, -40.0, 0.0), (-40.0, 40.0, 0.0), (1e200, 0.0, 0.0), (1.0, 0.5, 0.3, 1.0, 0.0, 1)],
+)
+def test_cut_that_drops_coherent_mass_raises(args):
+    """A cut that keeps too little of the coherent state's norm raises
+    instead of returning a value: at alpha = 40 both 256 and 512 levels hold
+    almost none of it, and the evaluations would settle on 0.5 where the
+    error is 1; at alpha = 1e200 the truncation estimate must not overflow;
+    an explicit ``dim=1`` cannot hold alpha = 1."""
+    with pytest.raises(TruncationError, match="miss unit norm"):
+        receiver_error_fock(*args)
+    if args[0] == 40.0:
+        assert displaced_squeezed_error(*args) == 1.0

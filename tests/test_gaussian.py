@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.linalg import block_diag
 
+from bpskrx import gaussian
 from bpskrx.core import (
     BinaryEnsemble,
     DimensionMismatchError,
@@ -261,13 +262,19 @@ def test_condition_singular_guard():
         condition_on_partial_measurement(st, 1, bad)
 
 
-def test_binary_output_shares_covariance_object_level():
+def test_binary_output_shares_covariance_object_level(monkeypatch):
+    """Both branches and ``shared_cov`` hold one read-only covariance, which
+    is checked once per call."""
     ens = BinaryEnsemble(0.8)
     op = random_symplectic(3, np.random.default_rng(9))
     meas = GaussianMeasurementSpec.homodyne_stack([1.0, 0.5], [0.0, 0.7], [0.1, 0.2, -0.3, 0.4])
+    checked = []
+    check = gaussian._checked_cov
+    monkeypatch.setattr(gaussian, "_checked_cov", lambda cov, what: checked.append(what) or check(cov, what))
     out = binary_conditional_output(ens, op, meas)
-    assert np.array_equal(out.state_plus.cov, out.state_minus.cov)
-    assert np.array_equal(out.state_plus.cov, out.shared_cov)
+    assert checked == ["state covariance"]
+    assert out.state_minus.cov is out.state_plus.cov is out.shared_cov
+    assert not out.shared_cov.flags.writeable and not out.state_minus.disp.flags.writeable
     assert np.array_equal(out.state_plus.disp, out.disp_offset + out.disp_signal)
     assert np.array_equal(out.state_minus.disp, out.disp_offset - out.disp_signal)
 

@@ -9,6 +9,7 @@ import pytest
 from bpskrx.core import BinaryEnsemble, DetectorModel
 from bpskrx.montecarlo import (
     _CHUNK,
+    _MINUS,
     _PLUS,
     RNG_ID,
     McConfig,
@@ -239,12 +240,14 @@ def test_chunked_stream_equals_one_shot_random_detector(trials):
 
 
 def test_plus_mask_cache_holds_one_read_only_mask():
-    """Every chunk reads a prefix of one module-level sign array: plus at
-    odd trials, and nothing may write to it."""
+    """Every chunk reads a prefix of one module-level sign array, plus at
+    odd trials, and of its complement; nothing may write to either."""
     assert _PLUS.shape == (_CHUNK,) and _PLUS.dtype == bool
     assert np.array_equal(_PLUS, np.arange(_CHUNK) % 2 == 1)
-    with pytest.raises(ValueError, match="read-only"):
-        _PLUS[0] = True
+    assert np.array_equal(_MINUS, ~_PLUS)
+    for mask in (_PLUS, _MINUS):
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = True
 
 
 def test_repeated_call_allocates_per_chunk_not_per_trial():
