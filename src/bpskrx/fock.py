@@ -13,17 +13,23 @@ first ``dim`` levels. The pad keeps the truncated generators' hard edge away
 from the levels that are read. The cut vectors must hold unit squared norm to
 1e-8, or the evaluation raises `TruncationError`: a cut that drops the
 coherent state's own mass (alpha = 40 at 256 levels) would otherwise give a
-wrong value that further doublings agree with. The generators are exactly
-antisymmetric, so evolution keeps the padded vector's norm: each evolved
-squared norm must match its start to 1e-8, or the evaluation raises. The
-mass left in the pad levels is not a gate: at a settled truncation it
+wrong value that further doublings agree with. The displaced amplitude
+|alpha| + |beta| must not exceed 2 sqrt(n) on the n evolved levels, or the
+evaluation raises before any Taylor step: past that the displaced states hold
+none of their norm there, and the displacement's Taylor steps grow as
+|beta| sqrt(n) without bound (1.8e8 term matvecs at beta = 1e6). The generators
+are exactly antisymmetric, so evolution keeps the padded vector's norm: each
+evolved squared norm must match its start to 1e-8, or the evaluation raises.
+The mass left in the pad levels is not a gate: at a settled truncation it
 reaches 4e-3 at alpha = 3, |beta| = 0.8, r = 1.5 while the error probability
 still matches the closed form to 2e-15, because the detector weights decay
 with photon number. Convergence is judged by the adaptive search in
-`receiver_error_fock`, which evaluates its first pair of truncations (d, 2d)
+`receiver_error_fock`, which starts at `_start_dim`, the evolved state's
+photon-number extent, and evaluates its first pair of truncations (d, 2d)
 in one propagation: each pair of rows evolves under its own cut band with
 the larger truncation's Taylor steps, so the larger value is bitwise its
-separate evaluation.
+separate evaluation. Further rungs double up to `DIM_CAP`, the last one
+clamped to it.
 """
 
 from __future__ import annotations
@@ -42,6 +48,26 @@ PAD = 20
 
 #: Hard ceiling for the adaptive truncation search.
 DIM_CAP = 512
+
+
+def _start_dim(alpha: float, beta: float, r: float) -> int:
+    """First truncation of the adaptive search: ``ceil((A exp(|r|) + 3)^2)`` for
+    the displaced amplitude ``A = |alpha| + |beta|``, at most ``DIM_CAP // 2``.
+
+    Displacing ``+-alpha`` by ``beta`` gives coherent amplitudes of at most ``A``,
+    and the squeeze stretches them by at most ``exp(|r|)``, so the square root of
+    the evolved photon number centres below ``A exp(|r|)``; 3 more is the tail
+    margin. The start is at least ``(|alpha| + 3)^2``, on which the coherent state
+    of amplitude alpha holds its norm^2 to 1e-8 for every alpha below 13, where
+    the cap takes over, so the start trips the coherent-mass gate only where the
+    cap does. Strong squeezing and slowly decaying detector weights (eta near 0)
+    need more levels, and the search doubles from here for them. The detector
+    weights could shrink the start further at eta near 1, but the best start per
+    input, found by search, was only 2% faster on the cross-check box. The
+    amplitude is capped at 16, past which the start is at the cap anyway, so the
+    square stays finite."""
+    reach = min(abs(alpha) + abs(beta), 16.0) * math.exp(abs(r)) + 3.0
+    return min(math.ceil(reach * reach), DIM_CAP // 2)
 
 
 @functools.lru_cache(maxsize=16)
@@ -150,6 +176,13 @@ def _error_at_dim(
                 f"(alpha={alpha}, beta={beta}, r={r})"
             )
 
+    amplitude = abs(alpha) + abs(beta)
+    if not amplitude <= 2.0 * math.sqrt(n):
+        raise TruncationError(
+            f"displaced amplitude {amplitude:.3e} does not fit dim {max(dims)} + {PAD}: "
+            f"more than 2 sqrt({n}) (alpha={alpha}, beta={beta}, r={r})"
+        )
+
     def rows(c, k):
         if len(dims) == 1:
             return c
@@ -196,9 +229,14 @@ def receiver_error_fock(
     squeeze ``-r``.
 
     With ``dim=None`` the truncation is chosen adaptively: start at
-    ``ceil(8 (alpha + |beta| + 1)^2 exp(2|r|))`` (clamped to 256 so one
-    doubling stays under the cap), evaluate it and its double together,
-    then double until the result moves by less than 1e-10, give up at 512.
+    ``d = _start_dim(alpha, beta, r)``, ``ceil((A exp(|r|) + 3)^2)`` for
+    ``A = |alpha| + |beta|`` (at most 256, so one doubling stays under the cap),
+    evaluate d and 2d together, then step to ``min(2 d, 512)`` until the result
+    moves by less than 1e-10, and give up once 512 itself has not settled. A
+    last rung from d to 512 is shorter than a doubling and must settle below
+    ``1e-10 (512 - d) / d``: a 480 -> 512 rung sees about a fifteenth of a
+    doubling's change, and at a plain 1e-10 the rungs 480 -> 512 and
+    504 -> 512 returned values 1.6e-11 and 2e-10 off the closed form.
 
     Raises
     ------
@@ -206,9 +244,11 @@ def receiver_error_fock(
         If alpha or beta is not finite, |r| > 2 or r is not finite, eta is
         outside [0, 1], nu is negative or not finite, or ``dim`` is not an int >= 1.
     TruncationError
-        If the adaptive search hits the 512-level cap without converging,
-        the cut coherent vectors miss unit norm^2 by 1e-8 or more, or an
-        evolved vector's norm drifts by 1e-8 or more.
+        If the adaptive search reaches the 512-level cap without converging
+        (the message names the truncations tried and the last change), the
+        cut coherent vectors miss unit norm^2 by 1e-8 or more, the displaced
+        amplitude exceeds 2 sqrt(dim + PAD), or an evolved vector's norm
+        drifts by 1e-8 or more.
     """
     for name, value, ok, rule in (
         ("alpha", alpha, math.isfinite(alpha), "finite"),
@@ -222,17 +262,17 @@ def receiver_error_fock(
             raise ValueError(f"{name} = {value!r} is outside the oracle domain: must be {rule}")
     if dim is not None:
         return _error_at_dim(alpha, beta, r, eta, nu, (dim,))[0]
-    # past a size of 16 the start is above the 256 clamp anyway; the cap keeps ** 2 finite
-    size = min(abs(alpha) + abs(beta) + 1.0, 16.0)
-    d = min(max(math.ceil(8.0 * size**2 * math.exp(2.0 * abs(r))), 8), 256)
+    d = _start_dim(alpha, beta, r)
+    dims = [d, 2 * d]
     prev, cur = _error_at_dim(alpha, beta, r, eta, nu, (d, 2 * d))
-    d *= 2
-    while not abs(cur - prev) < 1e-10:
-        if 2 * d > DIM_CAP:
+    # 1e-10 on a doubling; a last rung clamped to the cap is shorter, and settles that much tighter
+    while not abs(cur - prev) < 1e-10 * ((dims[-1] - dims[-2]) / dims[-2]):
+        if dims[-1] == DIM_CAP:
             raise TruncationError(
-                f"receiver error did not settle below 1e-10 by dim {DIM_CAP} "
+                f"receiver error did not settle below 1e-10 by dim {DIM_CAP}: "
+                f"tried dims {dims}, last change {abs(cur - prev):.3e} "
                 f"(alpha={alpha}, beta={beta}, r={r})"
             )
-        d *= 2
-        prev, (cur,) = cur, _error_at_dim(alpha, beta, r, eta, nu, (d,))
+        dims.append(min(2 * dims[-1], DIM_CAP))
+        prev, (cur,) = cur, _error_at_dim(alpha, beta, r, eta, nu, (dims[-1],))
     return cur

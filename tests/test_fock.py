@@ -62,7 +62,7 @@ def test_coherent_tail():
 )
 def test_receiver_error_rejects_bad_input(name, value):
     """Out-of-domain input raises a ValueError naming the argument; |r| > 2
-    is rejected before the truncation estimate exp(2|r|) can overflow, and a
+    is rejected before the truncation estimate exp(|r|) can overflow, and a
     truncation must be an integer, not a float or a bool."""
     args = {"alpha": 0.5, "beta": 0.2, "r": 0.5, "eta": 1.0, "nu": 0.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} = "):
@@ -269,7 +269,7 @@ def test_truncation_pair_matches_separate_evaluations():
     unsettled, worst = 0, 0.0
     for alpha, beta, r, eta, nu in inputs:
         args = (alpha, beta, r, eta, nu)
-        d = min(max(math.ceil(8.0 * (alpha + abs(beta) + 1.0) ** 2 * math.exp(2.0 * abs(r))), 8), 256)
+        d = fock._start_dim(alpha, beta, r)
         small, big = fock._error_at_dim(*args, (d, 2 * d))
         assert big == fock._error_at_dim(*args, (2 * d,))[0]
         worst = max(worst, abs(small - fock._error_at_dim(*args, (d,))[0]))
@@ -293,3 +293,52 @@ def test_cut_that_drops_coherent_mass_raises(args):
         receiver_error_fock(*args)
     if args[0] == 40.0:
         assert displaced_squeezed_error(*args) == 1.0
+
+
+def test_start_rule_settles_on_the_closed_form(monkeypatch):
+    """The adaptive search, started at the evolved state's photon-number extent,
+    returns the closed form to 1e-13 on 64 seeded cross-check inputs, below the
+    old start of ``8 (alpha + |beta| + 1)^2 exp(2|r|)``. The last rung clamped to
+    the cap lets (1.06, 0.73, 1.35, 0.01) settle at 512 from 396, where the
+    256/512 pair never did; inputs that 512 levels cannot hold still raise, and
+    the error names the truncations tried and the last change. The 506 -> 512
+    rung of (2.46, -1.05, 1.3, 0.01) moves by 6.9e-11, under 1e-10, while the
+    value at 512 is 1.2e-10 off: a rung that short must settle tighter."""
+    rng = np.random.default_rng(2011)
+    inputs = [
+        (rng.uniform(0.05, 2.0), rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8),
+         float(rng.choice([0.5, 0.9, 1.0])), float(rng.choice([0.0, 1e-3])))
+        for _ in range(64)
+    ]
+    worst = max(abs(receiver_error_fock(*a) - displaced_squeezed_error(*a)) for a in inputs)
+    print(f"adaptive oracle vs closed form, worst |diff| = {worst:.3e}")
+    assert worst < 1e-13
+    assert all(
+        fock._start_dim(*a[:3]) < 8.0 * (a[0] + abs(a[1]) + 1.0) ** 2 * math.exp(2.0 * abs(a[2]))
+        for a in inputs
+    )
+
+    calls, inner = [], fock._error_at_dim
+    monkeypatch.setattr(fock, "_error_at_dim", lambda *a: calls.append(a[-1]) or inner(*a))
+    args = (1.06, 0.73, 1.35, 0.01, 0.0)
+    assert abs(receiver_error_fock(*args) - displaced_squeezed_error(*args)) < 1e-13
+    assert calls == [(99, 198), (396,), (fock.DIM_CAP,)]
+
+    for args, tried in (
+        ((2.0, 2.0, 2.0, 0.01, 0.0), "256, 512"),
+        ((3.0, -2.0, 1.9, 0.0, 0.0), "256, 512"),
+        ((2.46, -1.05, 1.3, 0.01, 0.0), "253, 506, 512"),
+    ):
+        with pytest.raises(TruncationError, match=rf"tried dims \[{tried}\], last change \d"):
+            receiver_error_fock(*args)
+
+
+@pytest.mark.parametrize(
+    "args, dim", [((0.5, 1e6, 0.0), None), ((0.5, 1e6, 0.0), 64), ((0.5, 1e308, 0.0), None)]
+)
+def test_displacement_past_the_truncation_raises_at_once(args, dim):
+    """A displacement the truncation cannot hold raises before any Taylor step:
+    at beta = 1e6 the steps would grow as |beta| sqrt(n) (1.8e8 term matvecs),
+    and at 1e308 their count would overflow."""
+    with pytest.raises(TruncationError, match="does not fit"):
+        receiver_error_fock(*args, dim=dim)
