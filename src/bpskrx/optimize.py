@@ -2,7 +2,7 @@
 
 Root solvers for the displacement photon receivers (optimal displacement
 gamma, and the joint displacement/squeezing pair for the squeeze-assisted
-variant), a bracketed scalar root helper they share, and a grid verifier for
+variant), the bracketed scalar root helpers they use, and a grid verifier for
 the claim that sharp x-homodyne is the best single-mode Gaussian measurement
 on the binary coherent ensemble, with the sharpness factor and Bayes error
 it scans. All on Python floats, without numpy or scipy: `_brentq` and
@@ -38,8 +38,8 @@ __all__ = [
     "bayes_error_from_contrast",
 ]
 
-#: Search box for the squeezing parameter in the two-parameter solver.
-R_BOX = 1.5
+#: Bracket end in r of the type1 solve; r* is about ln(1/eta)/2 + 0.35.
+_R_END = 12.0
 _ROOT_TOL = 1e-12  #: largest |f(root)| that `find_root_bracketed` accepts
 
 
@@ -50,8 +50,7 @@ class RootResult:
     value : the solution; a float for scalar solves, a (beta, r) tuple for
         the two-parameter solver.
     residual : achieved max |f| at the solution.
-    iterations : Brent iterations spent; for the two-parameter solver, those
-        of the outer solve in r.
+    iterations : Brent iterations spent; for the type1 pair, of its w-solve.
     """
 
     value: float | tuple[float, float]
@@ -102,18 +101,18 @@ def find_root_bracketed(f, lo: float, hi: float) -> RootResult:
     return RootResult(float(root), residual, iterations)
 
 
-def _brentq(f, xa: float, xb: float, maxiter: int = 100):
+def _brentq(f, xa: float, xb: float, maxiter: int = 100, xtol: float = 1e-15):
     """Brent's method on a sign-changing bracket; returns (root, iterations).
 
     A line-for-line port of ``brentq.c`` in SciPy (BSD-3-Clause, Copyright
-    (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers), so it
-    returns the root and iteration count of SciPy's ``brentq(f, xa, xb,
-    xtol=1e-15)`` (its default rtol = 4 eps). Where SciPy raises on a
-    NaN from ``f`` or after ``maxiter`` iterations, this raises
-    `ConvergenceError` with the last finite iterate in ``best`` (None for a
-    NaN at an end). ``< 0`` on nonzero non-NaN values is C's signbit.
+    (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers): root and
+    iterations of SciPy's ``brentq(f, xa, xb, xtol)`` with rtol = 4 eps;
+    ``xtol = 0``, which SciPy refuses, leaves only the relative tolerance.
+    Where SciPy raises on a NaN from ``f`` or after ``maxiter`` iterations,
+    this raises `ConvergenceError` with the last finite iterate in ``best``
+    (None for a NaN at an end); ``< 0`` on nonzero non-NaN is C's signbit.
     """
-    xtol, rtol = 1e-15, 4.0 * sys.float_info.epsilon
+    rtol = 4.0 * sys.float_info.epsilon
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = f(xpre), f(xcur)
@@ -274,57 +273,58 @@ def solve_type2_gamma_imperfect(alpha: float, detector: DetectorModel) -> RootRe
     return _solve_gamma(alpha, detector.eta, detector.tau, detector.xi)
 
 
-def _beta_given_r(alpha: float, r: float, eta: float) -> float:
-    """Solve the first stationarity residual for beta at fixed r."""
-    g = eta + (2.0 - eta) * math.exp(-2.0 * r)
-    f = lambda b: b * math.tanh(4.0 * eta * alpha * b / g) - alpha
-    hi = alpha + 3.0 / math.sqrt(2.0 * eta) + 2.0
-    return find_root_bracketed(f, max(alpha, 1e-12), hi).value
+def _w_tanh_w_inverse(c: float) -> float:
+    """The w > 0 with ``w tanh w = c``: ``sqrt(c) (1 + c/6)`` below 1e-12,
+    else a root within ``max(c, sqrt c) <= w <= (c + sqrt(c (c + 4)))/2``."""
+    if c < 1e-12:
+        return math.sqrt(c) * (1.0 + c / 6.0)
+    hi = 0.5 * (c + math.sqrt(c) * math.sqrt(c + 4.0))
+    return _brentq(lambda w: w * math.tanh(w) - c, max(c, math.sqrt(c)), hi, xtol=0.0)[0]
 
 
 def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
     """Jointly optimal displacement and squeezing of the squeeze-assisted
     photon receiver.
 
-    One bracketed root in r of two nested solves. The inner one is beta(r),
-    the root of the first residual at fixed r (`_beta_given_r`). Along it
-    tanh(w) = alpha / beta, so the second residual times beta / alpha is
+    One bracketed root in w = 4 eta alpha beta / G: where the first residual
+    vanishes, beta = alpha / tanh w, G = 4 eta alpha^2 / (w tanh w) and
+    x = exp(2r) = (2 - eta) / (G - eta), so r runs over the reals as
+    w tanh w runs over (0, 4 alpha^2). The second residual times beta / alpha,
+    4 alpha^2 / sinh^2 w - (x - 1)(x + 1) G / H, its first term taken as
+    (4 alpha exp(-w) / expm1(-2w))^2 so that it cannot overflow, is solved by
+    `_brentq` to relative precision between a lower bound on the w of
+    r = -`_R_END` and the w of r = +`_R_END`; ``iterations`` counts that solve.
 
-        4 (beta - alpha) (beta + alpha) - expm1(4r) G / H,
-
-    whose root the outer `_brentq` finds on the box |r| <= `R_BOX`; no sign
-    of r is assumed. ``iterations`` counts the outer solve's iterations.
-
-    The point is accepted only if both residuals of `type1_residuals` are
-    below 1e-10 (NaN fails). A failed bracket or solve at either level, or a
-    rejected point, raises ConvergenceError; the last carries ``best =
-    (beta, r)``.
+    Accepted only if both residuals of `type1_residuals` are below 1e-10
+    (NaN fails); anything else raises ConvergenceError, with ``best =
+    (beta, r)`` for a rejected point.
     """
-    if eta <= 0.0:
-        raise UnsupportedConfigurationError("eta must be positive")
+    if not 0.0 < eta <= 1.0:
+        raise UnsupportedConfigurationError(f"eta must be positive and at most 1, got {eta!r}")
     if alpha <= 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha!r}")
+    a4, k = 4.0 * alpha * alpha, (2.0 - eta) / eta
+    failed = f"stationarity solve failed for alpha={alpha}, eta={eta}"
 
-    def reduced(r: float) -> float:
-        beta = _beta_given_r(alpha, r, eta)
-        g = eta + (2.0 - eta) * math.exp(-2.0 * r)
-        h = eta + (2.0 - eta) * math.exp(2.0 * r)
-        return 4.0 * (beta - alpha) * (beta + alpha) - math.expm1(4.0 * r) * g / h
+    def reduced(w: float) -> float:
+        c = w * math.tanh(w)
+        x = k * (c / (a4 - c))
+        q = 4.0 * alpha * math.exp(-w) / math.expm1(-2.0 * w)
+        return q * q - (x - 1.0) * (x + 1.0) * (eta * a4 / c) / (eta + (2.0 - eta) * x)
 
     try:
-        r, iterations = _brentq(reduced, -R_BOX, R_BOX)
-        beta = _beta_given_r(alpha, r, eta)
+        c_lo = a4 / (1.0 + k * math.exp(2.0 * _R_END))
+        w_hi = _w_tanh_w_inverse(a4 / (1.0 + k * math.exp(-2.0 * _R_END)))
+        if not (c_lo > 0.0 and w_hi * math.tanh(w_hi) < a4):
+            raise BracketError(f"floats hold no bracket for |r| <= {_R_END}")
+        w, iterations = _brentq(reduced, max(c_lo, math.sqrt(c_lo)), w_hi, xtol=0.0)
     except (BracketError, ConvergenceError) as exc:
-        raise ConvergenceError(
-            f"stationarity solve failed for alpha={alpha}, eta={eta}: {exc}"
-        ) from exc
+        raise ConvergenceError(f"{failed}: {exc}") from exc
+    c = w * math.tanh(w)
+    beta, r = alpha / math.tanh(w), 0.5 * math.log(k * (c / (a4 - c)))
     r1, r2 = type1_residuals(alpha, beta, r, eta)
     if not (abs(r1) < 1e-10 and abs(r2) < 1e-10):
-        raise ConvergenceError(
-            f"stationarity solve failed for alpha={alpha}, eta={eta}: "
-            f"residuals ({r1:.3e}, {r2:.3e})",
-            best=(beta, r),
-        )
+        raise ConvergenceError(f"{failed}: residuals ({r1:.3e}, {r2:.3e})", best=(beta, r))
     return RootResult((beta, r), max(abs(r1), abs(r2)), iterations)
 
 

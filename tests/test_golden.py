@@ -54,18 +54,24 @@ RUNS = (
 #: Captured with the command in the module docstring. The three sweeps were
 #: re-pinned when the log alpha grid moved from ``np.logspace`` to
 #: ``10.0 ** x`` on Python floats (7 of 60 grid points moved by one ulp);
-#: the figure when the type1 optimum became one bracketed root in r; the
+#: the default and ideal sweeps again when the type1 optimum became one
+#: bracketed root in w (59 of 60 type1 rows moved, p_error by at most 1.1e-16
+#: and r_opt by at most 2.0e-15, whose worst error against a 50-digit solve
+#: fell from 2.0e-15 to 7.2e-16; no other row moved); the figure when the
+#: type1 optimum became one bracketed root in r, and again with the root in
+#: w, whose last type1 vertex moved (alpha^2 = 8.9: 1.7e-16 -> 5.6e-17, both
+#: round-off of a closed form that subtracts from 1/2); the
 #: landscape when its Bayes error became erfc(sqrt(2 e) alpha)/2 instead of
 #: erfc(sqrt(2) e alpha)/2; the two Monte Carlo files date from before the
 #: receiver table and the shared Schur complement.
 GOLDEN = {
-    "sweep_default.csv": "7e8f1e18c223c4769d71acecfd4969f96fd6ca4a2a05f2f03aec142f81c029d8",
-    "sweep_all_ideal.csv": "8f6983529eb62ed5a3dea362ecdc21cc6dc3dd45e61dbed5b9eab20237c64c69",
+    "sweep_default.csv": "8f8131c86783e0102d370a6b1d7c77aedda7624328b0aa9ab6ca526850bd819d",
+    "sweep_all_ideal.csv": "61eff858a62ef4ba0b27f356a8558a6182afad59f5a965a2448a361b8f9b87e9",
     "sweep_all_lossy.csv": "f1d700ae7842594031d6e51049582c82f62588821bbfe0e1da7956adc83ca966",
     "mc_ideal.csv": "e8d092c8df9067fea1cfd9dcd47f526717a96d696f60e879089230597c94382e",
     "mc_lossy.csv": "e15fd7e2d00af240a05b6ae7db2a3534a3bdcc63919e9bfd3abbbd5a68a77ac4",
     "landscape.csv": "224838fec07b9c34cf32144fa745fd0b6799e00ff7338145ef138df41f1a01d9",
-    "figure.svg": "4a84ecdf1ee7ba608782a1623bb5dffd9c7949ca2775bbd1b8fb1fc2ce4b5b1a",
+    "figure.svg": "2e6c3295873d8f1a82015b259bdab76263e81f43720ebf8487c5e8cfcc50365c",
 }
 
 

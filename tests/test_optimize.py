@@ -15,6 +15,14 @@ from bpskrx.core import (
     UnsupportedConfigurationError,
 )
 from bpskrx.fock import receiver_error_fock
+from bpskrx.gaussian import (
+    apply_gaussian_unitary,
+    beamsplitter,
+    coherent_state,
+    squeezer,
+    tensor,
+    vacuum,
+)
 from bpskrx.optimize import (
     bayes_error_from_contrast,
     contrast_factor,
@@ -37,7 +45,7 @@ TYPE1_OPTIMA = {
     (0.25, 0.9): (0.6496953388405817, 0.3544916217871127, 0.28585065181319996),
     (0.5, 0.9): (0.7239476133194283, 0.27512382855543777, 0.128823367720035),
     (1.0, 0.9): (1.0359961916796474, 0.07410882342424135, 0.010789869570028698),
-    # strong squeezing at low efficiency (r near the edge of the box)
+    # strong squeezing at low efficiency
     (math.sqrt(0.5), 0.1): (0.9426332700401004, 1.1954551386485819, 0.15558329776139584),
 }
 
@@ -131,14 +139,14 @@ def test_type1_frozen_optima():
 
 def test_type1_damped_newton_step():
     """At eta = 0.1 the optimum sits at strong squeezing, where a full Newton
-    step from r = 0 overshoots the box; the bracketed root reaches it in 8
-    outer iterations."""
+    step from r = 0 overshoots; the bracketed root in w reaches it in 11
+    iterations."""
     res = solve_type1_params(math.sqrt(0.5), 0.1)
     beta, r = res.value
     assert abs(beta - 0.9426332700401004) < 1e-9
     assert abs(r - 1.1954551386485819) < 1e-9
     assert res.residual < 1e-10
-    assert res.iterations == 8
+    assert res.iterations == 11
 
 
 @pytest.mark.parametrize(
@@ -146,6 +154,7 @@ def test_type1_damped_newton_step():
     [
         (lambda: solve_type1_params(0.5, 0.0), UnsupportedConfigurationError, "eta must be positive"),
         (lambda: solve_type1_params(0.5, -0.1), UnsupportedConfigurationError, "eta must be positive"),
+        (lambda: solve_type1_params(0.5, 1.5), UnsupportedConfigurationError, "at most 1, got 1.5"),
         (lambda: solve_type1_params(0.0, 1.0), ValueError, "alpha must be > 0"),
         (lambda: solve_type1_params(-0.5, 1.0), ValueError, "alpha must be > 0"),
         (lambda: solve_type2_gamma(-0.5), ValueError, "alpha must be >= 0"),
@@ -159,9 +168,9 @@ def test_type1_damped_newton_step():
         (lambda: displaced_squeezed_error(0.5, 0.5, -400.0), UnsupportedConfigurationError,
          r"overflows at alpha=0.5, beta=0.5, r=-400.0"),
     ],
-    ids=["type1-eta0", "type1-eta-neg", "type1-alpha0", "type1-alpha-neg", "type2-alpha-neg",
-         "landscape-no-r", "landscape-no-phi", "dse-overflow-plus", "dse-overflow-minus",
-         "dse-overflow-squeeze"],
+    ids=["type1-eta0", "type1-eta-neg", "type1-eta-above-1", "type1-alpha0", "type1-alpha-neg",
+         "type2-alpha-neg", "landscape-no-r", "landscape-no-phi", "dse-overflow-plus",
+         "dse-overflow-minus", "dse-overflow-squeeze"],
 )
 def test_solver_input_guards(call, exc, match):
     with pytest.raises(exc, match=match):
@@ -312,17 +321,53 @@ def _type1_domain_grid():
     return [(math.sqrt(a2), eta) for eta in etas for a2 in alpha_sq]
 
 
-def test_type1_convergence_failures_pinned():
-    """Where the optimum leaves the box |r| <= R_BOX (low eta, small
-    alpha^2) the solve raises ConvergenceError and nothing else. The count
-    is pinned so that any change of the converging domain shows here."""
-    failed = 0
+def test_type1_solves_the_whole_domain_grid():
+    """Every grid point solves, the low-efficiency, small-alpha^2 corner
+    included, where the optimum's squeeze reaches r = 3.8 at eta = 1e-3."""
+    worst_r = 0.0
     for alpha, eta in _type1_domain_grid():
-        try:
-            solve_type1_params(alpha, eta)
-        except ConvergenceError:
-            failed += 1
-    assert failed == 736
+        res = solve_type1_params(alpha, eta)
+        assert res.residual < 1e-10 and 0 < res.iterations <= 30, (alpha, eta)
+        worst_r = max(worst_r, abs(res.value[1]))
+    assert 3.7 < worst_r < 3.9
+
+
+@pytest.mark.parametrize("eta", [1e-3, 1.0])
+@pytest.mark.parametrize("alpha_sq", [1e-300, 1e-6, 1e300, 1e308])
+def test_type1_extremes_raise_only_convergence_error(alpha_sq, eta):
+    """At the ends of the float range the solve either returns a point with
+    residuals below 1e-10 or raises ConvergenceError: no OverflowError,
+    ZeroDivisionError or ValueError escapes."""
+    alpha = math.sqrt(alpha_sq)
+    try:
+        res = solve_type1_params(alpha, eta)
+    except ConvergenceError:
+        return
+    r1, r2 = type1_residuals(alpha, *res.value, eta)
+    assert abs(r1) < 1e-10 and abs(r2) < 1e-10
+
+
+def test_type1_optima_match_gaussian_layer():
+    """Beyond the Fock oracle's reach (|r*| up to 3.8): the no-click
+    probability of each squeezed, displaced branch after a beamsplitter of
+    transmission eta, computed from the covariance of mode 0 with the
+    Gaussian layer, reproduces the closed form at the solved optimum."""
+    nu = 1e-3
+    for eta in (0.05, 0.01, 1e-3):
+        loss = beamsplitter(math.acos(math.sqrt(eta)), 2, (0, 1))
+        for alpha_sq in np.geomspace(1e-3, 20.0, 12):
+            alpha = math.sqrt(alpha_sq)
+            beta, r = solve_type1_params(alpha, eta).value
+            p_off = []
+            for sign in (1.0, -1.0):
+                state = tensor(coherent_state(beta + sign * alpha), vacuum(1))
+                state = apply_gaussian_unitary(state, squeezer(-r, 2, 0))
+                state = apply_gaussian_unitary(state, loss)
+                v, d = state.cov[:2, :2] + np.eye(2), state.disp[:2]
+                vac = 2.0 / math.sqrt(np.linalg.det(v)) * math.exp(-d @ np.linalg.solve(v, d))
+                p_off.append(math.exp(-nu) * vac)
+            want = displaced_squeezed_error(alpha, beta, r, eta, nu)
+            assert abs(0.5 * (p_off[0] + 1.0 - p_off[1]) - want) < 1e-14, (eta, alpha_sq)
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
