@@ -31,7 +31,6 @@ from .optimize import (
     bayes_error_from_contrast,
     contrast_factor,
     displaced_squeezed_error,
-    find_root_bracketed,
     solve_type1_params,
     solve_type2_gamma,
     solve_type2_gamma_imperfect,

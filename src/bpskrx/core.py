@@ -45,7 +45,7 @@ class NotPureError(ValueError):
 
 
 class BracketError(ArithmeticError):
-    """No sign change found while expanding a root bracket."""
+    """The ends of a root bracket give f the same sign."""
 
 
 class ConvergenceError(ArithmeticError):

@@ -2,11 +2,11 @@
 
 Root solvers for the displacement photon receivers (optimal displacement
 gamma, and the joint displacement/squeezing pair for the squeeze-assisted
-variant), the bracketed scalar root helpers they use, and a grid verifier for
-the claim that sharp x-homodyne is the best single-mode Gaussian measurement
-on the binary coherent ensemble, with the sharpness factor and Bayes error
-it scans. All on Python floats, without numpy or scipy: `_brentq` and
-`_erfc` are line-for-line ports of scipy's ``brentq`` and ``erfc``.
+variant), each one Brent solve on a bracket of its own, and a grid verifier
+for the claim that sharp x-homodyne is the best single-mode Gaussian
+measurement on the binary coherent ensemble, with the sharpness factor and
+Bayes error it scans. All on Python floats, without numpy or scipy: `_brentq`
+and `_erfc` are line-for-line ports of scipy's ``brentq`` and ``erfc``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "RootResult",
     "LandscapePoint",
     "LandscapeSummary",
-    "find_root_bracketed",
     "displaced_squeezed_error",
     "type1_residuals",
     "solve_type2_gamma",
@@ -40,7 +39,7 @@ __all__ = [
 
 #: Bracket end in r of the type1 solve; r* is about ln(1/eta)/2 + 0.35.
 _R_END = 12.0
-_ROOT_TOL = 1e-12  #: largest |f(root)| that `find_root_bracketed` accepts
+_MAXITER = 100  #: iteration cap of `_brentq`, SciPy's ``brentq`` default
 
 
 @dataclass(frozen=True)
@@ -58,57 +57,14 @@ class RootResult:
     iterations: int
 
 
-def find_root_bracketed(f, lo: float, hi: float) -> RootResult:
-    """Root of a scalar function with automatic bracket expansion.
-
-    If ``f(lo)`` and ``f(hi)`` share a sign, the upper end is pushed out by
-    doubling the interval width, at most 60 times. Exact zeros at either
-    endpoint are returned immediately. The bracketed solve itself is Brent's
-    method (bisection/secant/inverse-quadratic hybrid, guaranteed bracket
-    shrinkage), `_brentq`.
-
-    Raises
-    ------
-    BracketError
-        If no sign change is found after the expansions.
-    ConvergenceError
-        If ``f`` returns NaN, Brent's method runs out of its 100
-        iterations, or the returned point fails ``|f(root)| < 1e-12``.
-    """
-    flo = f(lo)
-    if flo == 0.0:
-        return RootResult(lo, 0.0, 0)
-    fhi = f(hi)
-    if fhi == 0.0:
-        return RootResult(hi, 0.0, 0)
-    expansions = 0
-    while (flo > 0.0) == (fhi > 0.0):
-        if expansions >= 60:
-            raise BracketError(
-                f"no sign change on [{lo}, {hi}] after {expansions} expansions"
-            )
-        hi = lo + 2.0 * (hi - lo)
-        fhi = f(hi)
-        if fhi == 0.0:
-            return RootResult(hi, 0.0, expansions)
-        expansions += 1
-    root, iterations = _brentq(f, lo, hi)
-    residual = abs(f(root))
-    if residual >= _ROOT_TOL:
-        raise ConvergenceError(
-            f"root residual {residual:.3e} exceeds tolerance {_ROOT_TOL:.3e}", best=root
-        )
-    return RootResult(float(root), residual, iterations)
-
-
-def _brentq(f, xa: float, xb: float, maxiter: int = 100, xtol: float = 1e-15):
+def _brentq(f, xa: float, xb: float, xtol: float = 1e-15):
     """Brent's method on a sign-changing bracket; returns (root, iterations).
 
     A line-for-line port of ``brentq.c`` in SciPy (BSD-3-Clause, Copyright
     (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers): root and
     iterations of SciPy's ``brentq(f, xa, xb, xtol)`` with rtol = 4 eps;
     ``xtol = 0``, which SciPy refuses, leaves only the relative tolerance.
-    Where SciPy raises on a NaN from ``f`` or after ``maxiter`` iterations,
+    Where SciPy raises on a NaN from ``f`` or after its 100 iterations,
     this raises `ConvergenceError` with the last finite iterate in ``best``
     (None for a NaN at an end); ``< 0`` on nonzero non-NaN is C's signbit.
     """
@@ -122,7 +78,7 @@ def _brentq(f, xa: float, xb: float, maxiter: int = 100, xtol: float = 1e-15):
         return (xpre if fpre == 0.0 else xcur), 0
     if (fpre < 0.0) == (fcur < 0.0):
         raise BracketError(f"f({xa}) and f({xb}) have the same sign")
-    for i in range(1, maxiter + 1):
+    for i in range(1, _MAXITER + 1):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -152,7 +108,7 @@ def _brentq(f, xa: float, xb: float, maxiter: int = 100, xtol: float = 1e-15):
         fcur = f(xcur)
         if fcur != fcur:
             raise ConvergenceError(f"f({xcur!r}) is NaN", best=xpre)
-    raise ConvergenceError(f"no convergence after {maxiter} iterations", best=xcur)
+    raise ConvergenceError(f"no convergence after {_MAXITER} iterations", best=xcur)
 
 
 def displaced_squeezed_error(
@@ -231,25 +187,36 @@ def _solve_gamma(alpha: float, eta: float, tau: float, xi: float) -> RootResult:
     """The gamma condition ``xi sqrt(tau) alpha = gamma tanh(2 eta xi alpha
     gamma)`` on gamma > 0, shared by both public solvers.
 
-    ``g(x) = x tanh(slope x) - target`` is strictly increasing from 0-
-    through the unique root, so a tiny lower end plus an expandable upper
-    end always brackets it. The ``alpha = 0`` limit is ``gamma^2 =
-    sqrt(tau) / (2 eta)``, returned without iteration.
+    With ``s = 2 eta xi alpha``, ``T = xi sqrt(tau) alpha`` and ``u =
+    sqrt(2 eta xi)``, ``f(x) = x tanh(s x) - T`` rises strictly from -T
+    through the unique root, solved by one `_brentq` call on ``[1e-12, T +
+    1/u + 1]``. For ``xi sqrt(tau) <= 1`` that upper end ``hi`` is a bracket:
+    ``tanh y >= y/(1 + y)`` gives ``f(hi) (1 + s hi) >= s hi (hi - T) - T``,
+    and ``s hi (hi - T) >= u^2 alpha (1/u + 1)^2 >= (1 + 2u) T``, a relative
+    margin of at least ``2u``. Below ``eta xi = 1e-30`` that margin nears
+    the rounding of ``f(hi)`` (and ``2 eta xi`` underflows past 1e-308), so
+    such inputs raise UnsupportedConfigurationError. The root must pass
+    ``|f| < 1e-12 max(1, T)`` (NaN fails), else ConvergenceError. The
+    ``alpha = 0`` limit ``gamma^2 = sqrt(tau) / (2 eta)`` needs no solve.
     """
-    if eta <= 0.0 or xi <= 0.0 or tau <= 0.0:
+    if eta <= 0.0 or xi <= 0.0 or tau <= 0.0 or eta * xi < 1e-30:
         raise UnsupportedConfigurationError(
-            "eta, tau, xi must be positive for the gamma condition "
-            f"(got eta={eta!r}, tau={tau!r}, xi={xi!r})"
+            "eta, tau, xi must be positive and eta xi at least 1e-30 for the "
+            f"gamma condition (got eta={eta!r}, tau={tau!r}, xi={xi!r})"
         )
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
     if alpha == 0.0:
-        v = math.sqrt(math.sqrt(tau) / (2.0 * eta))
-        return RootResult(v, 0.0, 0)
+        return RootResult(math.sqrt(math.sqrt(tau) / (2.0 * eta)), 0.0, 0)
     target = xi * math.sqrt(tau) * alpha
     slope = 2.0 * eta * xi * alpha
     hi = target + 1.0 / math.sqrt(2.0 * eta * xi) + 1.0
-    return find_root_bracketed(lambda x: x * math.tanh(slope * x) - target, 1e-12, hi)
+    f = lambda x: x * math.tanh(slope * x) - target
+    root, iterations = _brentq(f, 1e-12, hi)
+    residual, tol = abs(f(root)), 1e-12 * max(1.0, target)
+    if not residual < tol:
+        raise ConvergenceError(f"gamma residual {residual:.3e} exceeds {tol:.3e}", best=root)
+    return RootResult(root, residual, iterations)
 
 
 def solve_type2_gamma(alpha: float, eta: float = 1.0) -> RootResult:
@@ -258,7 +225,8 @@ def solve_type2_gamma(alpha: float, eta: float = 1.0) -> RootResult:
     Solves ``alpha = gamma tanh(2 eta alpha gamma)``; the solution satisfies
     ``gamma >= alpha`` and approaches ``1/sqrt(2 eta)`` as ``alpha -> 0``
     (returned directly in that limit, no iteration) and ``alpha`` itself for
-    large amplitudes where the tanh saturates. Any ``eta > 0`` is accepted.
+    large amplitudes where the tanh saturates. Any ``eta >= 1e-30`` is
+    accepted; a smaller one raises UnsupportedConfigurationError.
     """
     return _solve_gamma(alpha, eta, 1.0, 1.0)
 
@@ -295,9 +263,10 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
     `_brentq` to relative precision between a lower bound on the w of
     r = -`_R_END` and the w of r = +`_R_END`; ``iterations`` counts that solve.
 
-    Accepted only if both residuals of `type1_residuals` are below 1e-10
-    (NaN fails); anything else raises ConvergenceError, with ``best =
-    (beta, r)`` for a rejected point.
+    Accepted only if the residuals of `type1_residuals` are below 1e-10
+    times the size of their terms, ``|R1| < 1e-10 max(1, alpha)`` and ``|R2|
+    < 1e-10 max(1, 4 (alpha^2 + beta^2))`` (NaN fails); anything else raises
+    ConvergenceError, with ``best = (beta, r)`` for a rejected point.
     """
     if not 0.0 < eta <= 1.0:
         raise UnsupportedConfigurationError(f"eta must be positive and at most 1, got {eta!r}")
@@ -323,7 +292,8 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
     c = w * math.tanh(w)
     beta, r = alpha / math.tanh(w), 0.5 * math.log(k * (c / (a4 - c)))
     r1, r2 = type1_residuals(alpha, beta, r, eta)
-    if not (abs(r1) < 1e-10 and abs(r2) < 1e-10):
+    if not (abs(r1) < 1e-10 * max(1.0, alpha)
+            and abs(r2) < 1e-10 * max(1.0, 4.0 * (alpha * alpha + beta * beta))):
         raise ConvergenceError(f"{failed}: residuals ({r1:.3e}, {r2:.3e})", best=(beta, r))
     return RootResult((beta, r), max(abs(r1), abs(r2)), iterations)
 

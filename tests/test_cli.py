@@ -119,6 +119,20 @@ def test_sweep_partial_failure_exit_2(tmp_path, monkeypatch, capsys):
     assert [r.receiver for r in rows] == ["helstrom"] * 3
 
 
+@pytest.mark.parametrize("eta, xi", [("1e-200", "1e-200"), ("1e-40", "1")])
+def test_gamma_below_eta_xi_floor_is_a_solver_failure(tmp_path, capsys, eta, xi):
+    """Below eta xi = 1e-30 the gamma solve refuses the input: sweep omits
+    the rows with a warning (exit 2), montecarlo fails (exit 3)."""
+    flags = ["--eta", eta, "--xi", xi, "--points", "3"]
+    rc = cli.main(["sweep", "--receivers", "type2_imperfect", *flags,
+                   "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "warning: type2_imperfect at" in capsys.readouterr().err
+    rc = cli.main(["montecarlo", "--trials", "10", *flags, "--out", str(tmp_path / "m.csv")])
+    assert rc == 3
+    assert "eta xi at least 1e-30" in capsys.readouterr().err
+
+
 def test_sweep_type1_at_alpha_zero_is_omitted(tmp_path, capsys):
     out = tmp_path / "zero.csv"
     rc = cli.main(

@@ -108,9 +108,9 @@ EXPORTS = {
     ),
     "optimize": (
         "LandscapePoint", "LandscapeSummary", "RootResult", "bayes_error_from_contrast",
-        "contrast_factor", "displaced_squeezed_error", "find_root_bracketed",
-        "solve_type1_params", "solve_type2_gamma", "solve_type2_gamma_imperfect",
-        "type1_residuals", "verify_gaussian_optimum",
+        "contrast_factor", "displaced_squeezed_error", "solve_type1_params",
+        "solve_type2_gamma", "solve_type2_gamma_imperfect", "type1_residuals",
+        "verify_gaussian_optimum",
     ),
     "receivers": (
         "RECEIVERS", "helstrom", "homodyne_limit", "homodyne_limit_attenuated",

@@ -1,5 +1,6 @@
 """Root solves and the two receiver parameter optimizations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from bpskrx.core import (
     BinaryEnsemble,
-    BracketError,
     ConvergenceError,
     DetectorModel,
     UnsupportedConfigurationError,
@@ -24,10 +24,10 @@ from bpskrx.gaussian import (
     vacuum,
 )
 from bpskrx.optimize import (
+    _solve_gamma,
     bayes_error_from_contrast,
     contrast_factor,
     displaced_squeezed_error,
-    find_root_bracketed,
     solve_type1_params,
     solve_type2_gamma,
     solve_type2_gamma_imperfect,
@@ -48,33 +48,6 @@ TYPE1_OPTIMA = {
     # strong squeezing at low efficiency
     (math.sqrt(0.5), 0.1): (0.9426332700401004, 1.1954551386485819, 0.15558329776139584),
 }
-
-
-def test_find_root_linear():
-    res = find_root_bracketed(lambda x: x - 1.0, 0.0, 3.0)
-    assert res.value == pytest.approx(1.0, abs=1e-14)
-    assert res.residual < 1e-12
-
-
-def test_find_root_tanh():
-    res = find_root_bracketed(lambda x: math.tanh(x) - 0.5, 0.0, 2.0)
-    assert abs(res.value - 0.5493061443340549) < 1e-13
-
-
-def test_find_root_endpoint_zero():
-    res = find_root_bracketed(lambda x: x * x, 0.0, 1.0)
-    assert res.value == 0.0 and res.iterations == 0
-
-
-def test_find_root_expands_past_initial_bracket():
-    # root at 40, initial bracket [0, 1]; doubling must reach it
-    res = find_root_bracketed(lambda x: x - 40.0, 0.0, 1.0)
-    assert res.value == pytest.approx(40.0, abs=1e-10)
-
-
-def test_find_root_no_sign_change():
-    with pytest.raises(BracketError):
-        find_root_bracketed(lambda x: x * x + 1.0, 0.0, 1.0)
 
 
 def test_type2_gamma_frozen():
@@ -127,6 +100,41 @@ def test_type2_imperfect_rejects_dead_detector():
         solve_type2_gamma_imperfect(0.5, DetectorModel(eta=0.0))
 
 
+def test_gamma_solves_its_whole_domain():
+    """alpha^2 in [1e-300, 1e300] x eta, xi in [1e-15, 1] with eta xi >= 1e-30
+    x tau: the upper end is always a bracket (no BracketError), and the gate
+    relative to the target accepts every root (an absolute 1e-12 rejected 26,
+    at alpha^2 = 1e20)."""
+    decades = [10.0**e for e in range(-15, 1, 3)]
+    grid = itertools.product(range(-300, 301, 20), decades, decades, (1e-3, 0.5, 0.99, 1.0))
+    n = 0
+    for a2_exp, eta, xi, tau in grid:
+        if eta * xi >= 1e-30:
+            alpha = math.sqrt(10.0**a2_exp)
+            res = _solve_gamma(alpha, eta, tau, xi)
+            assert res.residual < 1e-12 * max(1.0, xi * math.sqrt(tau) * alpha)
+            n += 1
+    assert n == 4464
+
+
+def test_gamma_gate_scales_with_the_target():
+    """At alpha^2 = 1.8e31 one ulp of the target is 0.5, the residual of the
+    root; an absolute 1e-12 gate rejected it."""
+    res = _solve_gamma(math.sqrt(1.797195868616573e31), 0.9008609348173033, 1.0, 1.0)
+    assert res.value == 4239334698530622.5 and res.residual == 0.5
+
+
+def test_type1_gate_scales_with_the_terms():
+    """At eta = 2.2e-8 the second residual, 7.45e-9, is round-off of
+    8 alpha beta = 3.7e7; an absolute 1e-10 gate rejected the optimum."""
+    alpha, eta = math.sqrt(4667938.572718305), 2.1938337239844158e-08
+    res = solve_type1_params(alpha, eta)
+    beta, r = res.value
+    r1, r2 = type1_residuals(alpha, beta, r, eta)
+    assert r1 == 0.0 and 7e-9 < abs(r2) < 8e-9 and 8.0 * alpha * beta > 3.7e7
+    assert res.residual == abs(r2)
+
+
 def test_type1_frozen_optima():
     for (alpha, eta), (beta, r, p) in TYPE1_OPTIMA.items():
         res = solve_type1_params(alpha, eta)
@@ -158,6 +166,12 @@ def test_type1_damped_newton_step():
         (lambda: solve_type1_params(0.0, 1.0), ValueError, "alpha must be > 0"),
         (lambda: solve_type1_params(-0.5, 1.0), ValueError, "alpha must be > 0"),
         (lambda: solve_type2_gamma(-0.5), ValueError, "alpha must be >= 0"),
+        # below eta xi = 1e-30 the gamma bracket loses its margin; 2 eta xi
+        # underflows to 0 at (1e-200, 1e-200)
+        (lambda: solve_type2_gamma_imperfect(0.5, DetectorModel(eta=1e-200, xi=1e-200)),
+         UnsupportedConfigurationError, "eta xi at least 1e-30"),
+        (lambda: solve_type2_gamma(0.5, 1e-40), UnsupportedConfigurationError,
+         "eta xi at least 1e-30"),
         (lambda: verify_gaussian_optimum(BinaryEnsemble(0.5), [], [0.0]), ValueError, "nonempty"),
         (lambda: verify_gaussian_optimum(BinaryEnsemble(0.5), [1.0], []), ValueError, "nonempty"),
         # a float overflow is a typed error naming the amplitudes
@@ -169,8 +183,8 @@ def test_type1_damped_newton_step():
          r"overflows at alpha=0.5, beta=0.5, r=-400.0"),
     ],
     ids=["type1-eta0", "type1-eta-neg", "type1-eta-above-1", "type1-alpha0", "type1-alpha-neg",
-         "type2-alpha-neg", "landscape-no-r", "landscape-no-phi", "dse-overflow-plus",
-         "dse-overflow-minus", "dse-overflow-squeeze"],
+         "type2-alpha-neg", "type2-eta-xi-underflow", "type2-eta-below-floor", "landscape-no-r",
+         "landscape-no-phi", "dse-overflow-plus", "dse-overflow-minus", "dse-overflow-squeeze"],
 )
 def test_solver_input_guards(call, exc, match):
     with pytest.raises(exc, match=match):

@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from bpskrx.core import ConvergenceError
+from bpskrx.core import BracketError, ConvergenceError
 from bpskrx.optimize import _brentq, _erfc
 
 
@@ -45,7 +45,8 @@ def _beta_condition(alpha, eta, r):
 
 def _brackets():
     """The gamma and beta conditions over an (alpha, eta, r) grid, each with a
-    sign-changing bracket found the way `find_root_bracketed` finds it."""
+    sign-changing bracket found by doubling its upper end, and a bracket with
+    an exact zero at its lower end."""
     alphas = np.logspace(-3.0, 1.2, 16)
     etas = (0.05, 0.3, 0.7, 1.0)
     for alpha, eta in itertools.product(map(float, alphas), etas):
@@ -56,6 +57,7 @@ def _brackets():
             while f(hi) < 0.0:
                 hi = lo + 2.0 * (hi - lo)
             yield f, lo, hi
+    yield (lambda x: x * x - 0.25), 0.5, 1.0
 
 
 def test_brentq_equals_scipy_bitwise():
@@ -67,7 +69,12 @@ def test_brentq_equals_scipy_bitwise():
         if f(lo) != 0.0 and f(hi) != 0.0:
             assert iters == info.iterations
         n += 1
-    assert n == 16 * 4 * 6
+    assert n == 16 * 4 * 6 + 1
+    same_sign = lambda x: x * x + 1.0
+    with pytest.raises(BracketError, match="same sign"):
+        _brentq(same_sign, 0.0, 1.0)
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(same_sign, 0.0, 1.0)
 
 
 def test_brentq_nan_raises_convergence_error():
@@ -78,12 +85,14 @@ def test_brentq_nan_raises_convergence_error():
 
 
 def test_brentq_maxiter_raises_convergence_error():
-    f = lambda x: -1.0 if x < 1.0 / 3.0 else 1.0  # pure bisection, ~50 steps
-    with pytest.raises(ConvergenceError, match="after 5 iterations") as exc:
-        _brentq(f, 0.0, 1.0, maxiter=5)
+    """A step at 1e-300 with no absolute tolerance needs about 1,000
+    halvings; both solvers stop at the 100-iteration cap."""
+    f = lambda x: -1.0 if x < 1e-300 else 1.0
+    with pytest.raises(ConvergenceError, match="after 100 iterations") as exc:
+        _brentq(f, 0.0, 1.0, xtol=0.0)
     assert 0.0 < exc.value.best < 1.0
-    with pytest.raises(RuntimeError):
-        brentq(f, 0.0, 1.0, xtol=1e-15, maxiter=5)
+    with pytest.raises(RuntimeError, match="after 100 iterations"):
+        brentq(f, 0.0, 1.0, xtol=5e-324)
 
 
 def test_erfc_relative_accuracy_against_mpmath():
