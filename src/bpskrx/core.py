@@ -17,6 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+__all__ = [
+    "BinaryEnsemble", "DetectorModel", "ReceiverResult", "PROVENANCES", "BracketError",
+    "ConvergenceError", "CsvFormatError", "DimensionMismatchError", "NotPureError",
+    "SingularMatrixError", "TruncationError", "UnsupportedConfigurationError",
+]
+
 
 class DimensionMismatchError(ValueError):
     """Operator and state dimensions do not match."""

@@ -196,7 +196,9 @@ def _solve_gamma(alpha: float, eta: float, tau: float, xi: float) -> RootResult:
     margin of at least ``2u``. Below ``eta xi = 1e-30`` that margin nears
     the rounding of ``f(hi)`` (and ``2 eta xi`` underflows past 1e-308), so
     such inputs raise UnsupportedConfigurationError. The root must pass
-    ``|f| < 1e-12 max(1, T)`` (NaN fails), else ConvergenceError. The
+    ``|f| < 1e-12 T`` (NaN fails), else ConvergenceError: relative to T, so
+    that a root of size ``tau^(1/4)/sqrt(2 eta)`` at ``T << 1`` is not
+    accepted to Brent's absolute 1e-15 alone. The
     ``alpha = 0`` limit ``gamma^2 = sqrt(tau) / (2 eta)`` needs no solve.
     """
     if eta <= 0.0 or xi <= 0.0 or tau <= 0.0 or eta * xi < 1e-30:
@@ -213,7 +215,7 @@ def _solve_gamma(alpha: float, eta: float, tau: float, xi: float) -> RootResult:
     hi = target + 1.0 / math.sqrt(2.0 * eta * xi) + 1.0
     f = lambda x: x * math.tanh(slope * x) - target
     root, iterations = _brentq(f, 1e-12, hi)
-    residual, tol = abs(f(root)), 1e-12 * max(1.0, target)
+    residual, tol = abs(f(root)), 1e-12 * target
     if not residual < tol:
         raise ConvergenceError(f"gamma residual {residual:.3e} exceeds {tol:.3e}", best=root)
     return RootResult(root, residual, iterations)

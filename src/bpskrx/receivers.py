@@ -34,9 +34,6 @@ from .optimize import (
 )
 
 __all__ = [
-    "BinaryEnsemble",
-    "DetectorModel",
-    "ReceiverResult",
     "RECEIVERS",
     "Receiver",
     "coupled_tag",
@@ -108,13 +105,20 @@ def _click_result(
         P = 1/2 [ -expm1(-nu) + exp(-nu) (-expm1(b - a) + exp(-b - a)) ]
 
     which equals ``1/2 - exp(-nu - a) sinh(b)`` but never subtracts two
-    nearly equal halves.
+    nearly equal halves. Where an exponent overflows (``a = b = inf`` at
+    alpha^2 = 1e308, or a rounded ``b - a`` past 709.78 at alpha^2 = 1e20,
+    tau = 0.5) the call raises UnsupportedConfigurationError.
     """
     alpha = ensemble.alpha
     eta, nu, tau, xi = detector.eta, detector.nu, detector.tau, detector.xi
     a = eta * (tau * alpha * alpha + gamma * gamma)
     b = 2.0 * eta * xi * math.sqrt(tau) * alpha * gamma
-    twice_p = -math.expm1(-nu) + math.exp(-nu) * (-math.expm1(b - a) + math.exp(-b - a))
+    try:
+        twice_p = -math.expm1(-nu) + math.exp(-nu) * (-math.expm1(b - a) + math.exp(-b - a))
+    except OverflowError:
+        twice_p = math.nan
+    if twice_p != twice_p:  # an overflowed expm1, or inf - inf
+        raise UnsupportedConfigurationError(f"{tag} click probability overflows at alpha={alpha!r}")
     return ReceiverResult(tag, 0.5 * twice_p, gamma_opt=gamma, detector=detector)
 
 
@@ -196,11 +200,15 @@ def mean_intensity(
 
     ``I = (1 - xi)(tau alpha^2 + beta^2) + xi (sign sqrt(tau) alpha + beta)^2``:
     the matched fraction xi interferes coherently, the rest adds in power.
+    Where the square overflows the call raises UnsupportedConfigurationError.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     alpha, tau, xi = ensemble.alpha, detector.tau, detector.xi
-    coherent = (sign * math.sqrt(tau) * alpha + beta) ** 2
+    try:
+        coherent = (sign * math.sqrt(tau) * alpha + beta) ** 2
+    except OverflowError:
+        raise UnsupportedConfigurationError(f"mean intensity overflows at alpha={alpha!r}") from None
     return (1.0 - xi) * (tau * alpha * alpha + beta * beta) + xi * coherent
 
 

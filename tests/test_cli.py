@@ -133,6 +133,31 @@ def test_gamma_below_eta_xi_floor_is_a_solver_failure(tmp_path, capsys, eta, xi)
     assert "eta xi at least 1e-30" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, expected_rc, message, kept", [
+    (["sweep", "--alpha-sq-min", "1e308", "--alpha-sq-max", "1.79e308", "--points", "2",
+      "--receivers", "kennedy,type2"], 2, "kennedy click probability overflows", []),
+    (["sweep", "--receivers", "kennedy_imperfect", "--tau", "0.5", "--alpha-sq-min", "1",
+      "--alpha-sq-max", "1e20", "--points", "2"], 2, "at alpha_sq=1e+20: kennedy_imperfect",
+     [1.0]),
+    (["montecarlo", "--points", "2", "--trials", "10", "--alpha-sq-max", "1e308"], 3,
+     "mean intensity overflows", None),
+], ids=["sweep-1e308", "sweep-kennedy-imperfect-1e20", "montecarlo-1e308"])
+def test_overflow_at_the_top_of_the_float_range(
+    tmp_path, capsys, argv, expected_rc, message, kept
+):
+    """Where a click probability's exponents overflow (a NaN from inf - inf
+    at alpha^2 = 1e308, an OverflowError from expm1 or a square) the point
+    is a solver failure: sweep omits it (exit 2) and writes no NaN,
+    montecarlo exits 3."""
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == expected_rc
+    assert message in capsys.readouterr().err
+    if kept is not None:
+        _, rows = read_csv(out)
+        assert [r.alpha_sq for r in rows] == kept
+        assert all(math.isfinite(r.p_error) for r in rows)
+
+
 def test_sweep_type1_at_alpha_zero_is_omitted(tmp_path, capsys):
     out = tmp_path / "zero.csv"
     rc = cli.main(

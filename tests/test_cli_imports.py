@@ -5,13 +5,15 @@ either alpha grid and ``montecarlo --help`` load neither.
 Each case starts a fresh interpreter, runs ``cli.main`` on a small input and
 lists the ``scipy`` and ``numpy`` modules in ``sys.modules`` afterwards.
 Counting modules instead of timing the start-up keeps the check
-deterministic. The package's lazy attributes must still be the submodules'
-own objects.
+deterministic. The package itself re-exports nothing: each name is imported
+from the module that defines it, as the README's quick start does.
 """
 
 import importlib
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +21,12 @@ from pathlib import Path
 import pytest
 
 import bpskrx
-from bpskrx import RECEIVERS, cli
+from bpskrx import cli
+from bpskrx.receivers import RECEIVERS
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+README = ROOT / "README.md"
 
 CHILD = """
 import json, sys
@@ -85,71 +90,46 @@ def test_cli_never_imports_scipy(tmp_path, name):
         assert numpy_loaded == []
 
 
-#: Every name the package exported when it imported all its layers eagerly,
-#: by the module that defines it.
-EXPORTS = {
-    "core": (
-        "BinaryEnsemble", "BracketError", "ConvergenceError", "CsvFormatError",
-        "DetectorModel", "DimensionMismatchError", "NotPureError", "ReceiverResult",
-        "SingularMatrixError", "TruncationError", "UnsupportedConfigurationError",
-    ),
-    "gaussian": (
-        "ConditionalOutput", "ConditionedState", "GaussianMeasurementSpec",
-        "GaussianState", "SymplecticOp", "apply_gaussian_unitary", "beamsplitter",
-        "binary_conditional_output", "coherent_state",
-        "condition_on_partial_measurement", "measurement_cov", "phase_rotation",
-        "pure_normal_form", "random_symplectic", "squeezer", "symplectic_form",
-        "tensor", "vacuum",
-    ),
-    "fock": ("receiver_error_fock",),
-    "montecarlo": (
-        "McConfig", "McEstimate", "RNG_ID", "derive_point_seed", "simulate_type2",
-        "sweep_montecarlo",
-    ),
-    "optimize": (
-        "LandscapePoint", "LandscapeSummary", "RootResult", "bayes_error_from_contrast",
-        "contrast_factor", "displaced_squeezed_error", "solve_type1_params",
-        "solve_type2_gamma", "solve_type2_gamma_imperfect", "type1_residuals",
-        "verify_gaussian_optimum",
-    ),
-    "receivers": (
-        "RECEIVERS", "helstrom", "homodyne_limit", "homodyne_limit_attenuated",
-        "kennedy_error", "kennedy_raw_error", "mean_intensity", "type1_error",
-        "type2_error", "type2_imperfect_error",
-    ),
-}
+def _module_names():
+    return [m.name for m in pkgutil.iter_modules(bpskrx.__path__)]
 
 
-@pytest.mark.parametrize("module", list(EXPORTS))
-def test_package_names_are_the_submodules_objects(module):
+@pytest.mark.parametrize("module", _module_names())
+def test_module_all_names_are_its_own(module):
+    """Every name in a module's ``__all__`` resolves on it, by attribute and
+    by ``import *``, and a class or function there is defined there: no
+    module re-exports another's names."""
     sub = importlib.import_module(f"bpskrx.{module}")
-    for name in EXPORTS[module]:
-        value = getattr(bpskrx, name)
-        assert value is getattr(sub, name), name
-        assert vars(bpskrx)[name] is value  # cached after the first lookup
-    names = EXPORTS[module]
     namespace = {}
-    exec(f"from bpskrx import {', '.join(names)}", namespace)
-    assert all(namespace[n] is getattr(sub, n) for n in names)
+    exec(f"from bpskrx.{module} import *", namespace)
+    for name in sub.__all__:
+        value = getattr(sub, name)
+        assert namespace[name] is value, name
+        if callable(value):
+            assert value.__module__ == sub.__name__, name
 
 
-LAZY_MODULES = ("gaussian", "fock", "montecarlo")
+def test_package_holds_only_its_version():
+    """The package re-exports nothing: besides ``__version__`` its public
+    names are only the submodules imported so far."""
+    public = {name for name in vars(bpskrx) if not name.startswith("_")}
+    assert public <= set(_module_names())
+    assert bpskrx.__version__
 
 
-@pytest.mark.parametrize("module", LAZY_MODULES)
-def test_lazy_table_equals_module_all(module):
-    """The package resolves lazily exactly the names each numpy layer
-    declares in ``__all__``: no more, no fewer."""
-    assert set(bpskrx._LAZY.values()) == set(LAZY_MODULES)
-    sub = importlib.import_module(f"bpskrx.{module}")
-    lazy = sorted(name for name, owner in bpskrx._LAZY.items() if owner == module)
-    assert lazy == sorted(sub.__all__)
-
-
-def test_package_unknown_attribute_raises():
-    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
-        bpskrx.no_such_name
-    assert not hasattr(bpskrx, "erfc")
+def test_readme_quick_start_runs(capsys):
+    """The README's python block runs as written and prints the values its
+    comments show."""
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    calls = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(calls) == 3
+    for call, out in zip(calls, printed):
+        shown = call.partition("#")[2].split()
+        assert len(shown) in (0, len(out.split())), call
+        for prefix, value in zip(shown, out.split()):
+            assert value.startswith(prefix.rstrip(".")), (call, out)
 
 
 GAUSSIAN_CHILD = """

@@ -104,7 +104,7 @@ def test_gamma_solves_its_whole_domain():
     """alpha^2 in [1e-300, 1e300] x eta, xi in [1e-15, 1] with eta xi >= 1e-30
     x tau: the upper end is always a bracket (no BracketError), and the gate
     relative to the target accepts every root (an absolute 1e-12 rejected 26,
-    at alpha^2 = 1e20)."""
+    at alpha^2 = 1e20; the worst residual is 4.3e-15 T)."""
     decades = [10.0**e for e in range(-15, 1, 3)]
     grid = itertools.product(range(-300, 301, 20), decades, decades, (1e-3, 0.5, 0.99, 1.0))
     n = 0
@@ -112,7 +112,7 @@ def test_gamma_solves_its_whole_domain():
         if eta * xi >= 1e-30:
             alpha = math.sqrt(10.0**a2_exp)
             res = _solve_gamma(alpha, eta, tau, xi)
-            assert res.residual < 1e-12 * max(1.0, xi * math.sqrt(tau) * alpha)
+            assert res.residual < 1e-12 * xi * math.sqrt(tau) * alpha
             n += 1
     assert n == 4464
 
@@ -122,6 +122,15 @@ def test_gamma_gate_scales_with_the_target():
     root; an absolute 1e-12 gate rejected it."""
     res = _solve_gamma(math.sqrt(1.797195868616573e31), 0.9008609348173033, 1.0, 1.0)
     assert res.value == 4239334698530622.5 and res.residual == 0.5
+
+
+def test_gamma_gate_rejects_an_imprecise_small_target_root():
+    """At tau = 1e-20 the target is 1e-10 and the root 7.0710678121e-6 (50
+    digits); Brent's absolute 1e-15 leaves it 2.6e-11 relative off, which a
+    gate of 1e-12 max(1, T) accepted and one of 1e-12 T refuses."""
+    with pytest.raises(ConvergenceError, match="gamma residual") as info:
+        _solve_gamma(1.0, 1.0, 1e-20, 1.0)
+    assert abs(info.value.best / 7.071067812101178e-06 - 1.0) > 2e-11
 
 
 def test_type1_gate_scales_with_the_terms():
