@@ -20,12 +20,10 @@ import sys
 
 from .core import (
     BinaryEnsemble,
-    BracketError,
     ConvergenceError,
     CsvFormatError,
     DetectorModel,
     ReceiverResult,
-    TruncationError,
     UnsupportedConfigurationError,
 )
 from .optimize import solve_type1_params, solve_type2_gamma, verify_gaussian_optimum
@@ -35,7 +33,7 @@ from .svgplot import render_svg
 
 __all__ = ["main"]
 
-_SOLVER_FAILURES = (ConvergenceError, BracketError, TruncationError, UnsupportedConfigurationError)
+_SOLVER_FAILURES = (ConvergenceError, UnsupportedConfigurationError)
 
 
 def _parse_receivers(text: str) -> list[str]:

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 __all__ = [
-    "BinaryEnsemble", "DetectorModel", "ReceiverResult", "PROVENANCES", "BracketError",
-    "ConvergenceError", "CsvFormatError", "DimensionMismatchError", "NotPureError",
-    "SingularMatrixError", "TruncationError", "UnsupportedConfigurationError",
+    "BinaryEnsemble", "DetectorModel", "ReceiverResult", "PROVENANCES", "ConvergenceError",
+    "CsvFormatError", "DimensionMismatchError", "NotPureError", "SingularMatrixError",
+    "TruncationError", "UnsupportedConfigurationError",
 ]
 
 
@@ -48,10 +48,6 @@ class NotPureError(ValueError):
             f"covariance is not pure: symplectic eigenvalue {eigenvalue!r} != 1"
         )
         self.eigenvalue = eigenvalue
-
-
-class BracketError(ArithmeticError):
-    """The ends of a root bracket give f the same sign."""
 
 
 class ConvergenceError(ArithmeticError):

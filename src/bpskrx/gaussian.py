@@ -1,9 +1,11 @@
 """Multimode Gaussian-state algebra.
 
 Covariance-matrix representation of Gaussian states, symplectic transforms,
-and partial Gaussian measurements with conditional outputs, on numpy. The
-scalar sharpness factor and Bayes error of a single-mode measurement live in
-`optimize`.
+and partial Gaussian measurements with conditional outputs, on numpy. A
+Gaussian measurement is named by its seed state: a `GaussianState` whose
+covariance is the measurement covariance and whose displacement is the
+observed outcome. The scalar sharpness factor and Bayes error of a
+single-mode measurement live in `optimize`.
 
 Conventions (fixed throughout the package):
 
@@ -125,8 +127,10 @@ class GaussianState:
     cov: np.ndarray
     disp: np.ndarray
 
+    _role = "state"  # names the covariance in errors
+
     def __post_init__(self):
-        cov = _checked_cov(self.cov, "state covariance")
+        cov = _checked_cov(self.cov, f"{self._role} covariance")
         disp = _finite(self.disp, "displacement")
         if disp.shape != (cov.shape[0],):
             raise DimensionMismatchError(
@@ -253,24 +257,11 @@ def measurement_cov(r: float, phi: float) -> np.ndarray:
     return np.array([[c_minus, s], [s, c_plus]])
 
 
-@dataclass(frozen=True)
-class GaussianMeasurementSpec:
-    """A Gaussian measurement on K modes: covariance ``cov`` plus the
-    observed outcome vector ``outcome`` (length 2K)."""
+class GaussianMeasurementSpec(GaussianState):
+    """A Gaussian measurement on K modes, named by its seed state: ``cov`` is
+    the measurement covariance and ``disp`` the observed outcome (length 2K)."""
 
-    cov: np.ndarray
-    outcome: np.ndarray
-
-    def __post_init__(self):
-        cov = _checked_cov(self.cov, "measurement covariance")
-        outcome = _finite(self.outcome, "outcome")
-        if outcome.shape != (cov.shape[0],):
-            raise DimensionMismatchError("outcome length does not match covariance")
-        _freeze(self, cov=cov, outcome=outcome)
-
-    @property
-    def n_modes(self) -> int:
-        return self.outcome.shape[0] // 2
+    _role = "measurement"
 
     @classmethod
     def homodyne_stack(cls, rs, phis, outcome=None) -> "GaussianMeasurementSpec":
@@ -282,9 +273,7 @@ class GaussianMeasurementSpec:
         if not blocks:
             raise ValueError("homodyne_stack needs at least one mode; rs and phis give none")
         cov = _block_diag(blocks)
-        if outcome is None:
-            outcome = np.zeros(cov.shape[0])
-        return cls(cov, np.asarray(outcome, dtype=float))
+        return cls(cov, np.zeros(cov.shape[0]) if outcome is None else outcome)
 
 
 def apply_gaussian_unitary(state: GaussianState, op: SymplecticOp) -> GaussianState:
@@ -376,7 +365,7 @@ def condition_on_partial_measurement(
     if k == 0:
         return ConditionedState(state.cov, state.disp, 1.0)
     na = 2 * keep_modes
-    v = state.disp[na:] - meas.outcome
+    v = state.disp[na:] - meas.disp
     cov_out, gain, w, logdet = _schur(state.cov, na, meas.cov, v[:, None], "B + gamma_M")
     w = w[:, 0]
     disp_out = state.disp[:na] - gain.T @ v
@@ -430,7 +419,7 @@ def binary_conditional_output(
 
     # Both branches share the Schur complement; the trailing part of the
     # signal and the outcome are the two right-hand sides.
-    v_sig, v_out = s_sig[na:], meas.outcome
+    v_sig, v_out = s_sig[na:], meas.disp
     cov, gain, w, logdet = _schur(
         cov, na, meas.cov, np.column_stack([v_sig, v_out]), "B + gamma_M"
     )

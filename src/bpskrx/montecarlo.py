@@ -8,11 +8,12 @@ click law exact, so there is no truncation ladder to climb and a million
 trials take milliseconds.
 
 Reproducibility contract: the generator is ``numpy.random.Generator`` over
-``PCG64`` seeded through ``SeedSequence``; the identifier string is embedded
-in every estimate. The uniforms are drawn in chunks, with the values of one
-``rng.random(trials)`` call. Sweeps derive one seed per grid point by feeding
-``[master_seed, point_index]`` to ``SeedSequence``, a counter-based mix that
-makes per-point streams independent of evaluation order.
+``PCG64`` seeded through ``SeedSequence``, named by ``RNG_ID``; every
+estimate carries its whole request, seed included. The uniforms are drawn
+in chunks, with the values of one ``rng.random(trials)`` call. Sweeps
+derive one seed per grid point by feeding ``[master_seed, point_index]`` to
+``SeedSequence``, a counter-based mix that makes per-point streams
+independent of evaluation order.
 
 Trial signs are not drawn independently: they alternate, trial ``i`` being
 "plus" exactly when ``i`` is odd, so exactly ``floor(trials / 2)`` trials
@@ -24,7 +25,7 @@ computed as if signs were i.i.d. and is therefore conservative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,22 +76,24 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Estimated error probability with its binomial standard error, and
-    the displacement ``gamma`` of the simulated receiver."""
+    """The error count of one simulation request, with the estimated error
+    probability, its binomial standard error and the displacement ``gamma``
+    of the simulated receiver derived from it."""
 
-    p_hat: float
-    std_err: float
-    trials: int
-    seed: int
-    rng_id: str = RNG_ID
-    gamma: float | None = None
+    config: McConfig
+    errors: int
 
-    def __post_init__(self):
-        if not 0.0 <= self.p_hat <= 1.0:
-            raise ValueError(f"p_hat = {self.p_hat!r} outside [0, 1]")
-        expect = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.trials)
-        if abs(self.std_err - expect) > 1e-15:
-            raise ValueError("std_err does not match sqrt(p (1-p) / trials)")
+    @property
+    def p_hat(self) -> float:
+        return self.errors / self.config.trials
+
+    @property
+    def std_err(self) -> float:
+        return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.config.trials)
+
+    @property
+    def gamma(self) -> float:
+        return self.config.gamma
 
 
 def derive_point_seed(master_seed: int, index: int) -> int:
@@ -123,14 +126,7 @@ def simulate_type2(config: McConfig) -> McEstimate:
         errors += np.count_nonzero(np.logical_and(hit, _MINUS[:n], out=hit))
         np.less(u, p_on[1], out=hit)
         errors -= np.count_nonzero(np.logical_and(hit, _PLUS[:n], out=hit))
-    p_hat = errors / config.trials
-    return McEstimate(
-        p_hat=p_hat,
-        std_err=math.sqrt(p_hat * (1.0 - p_hat) / config.trials),
-        trials=config.trials,
-        seed=config.seed,
-        gamma=config.gamma,
-    )
+    return McEstimate(config, int(errors))
 
 
 def sweep_montecarlo(grid, template: McConfig) -> list[McEstimate]:
@@ -140,8 +136,9 @@ def sweep_montecarlo(grid, template: McConfig) -> list[McEstimate]:
     optimal displacement for the template's detector, and runs
     `simulate_type2` with the seed ``derive_point_seed(template.seed,
     index)``; the template's own gamma is ignored; each estimate carries the
-    gamma it was run with. A one-point sweep therefore equals a direct
-    `simulate_type2` call with that derived seed and solved gamma.
+    request it was run with, solved gamma included. A one-point sweep
+    therefore equals a direct `simulate_type2` call with that derived seed
+    and solved gamma.
     """
     grid = list(grid)
     if not grid:
@@ -150,15 +147,6 @@ def sweep_montecarlo(grid, template: McConfig) -> list[McEstimate]:
     for index, alpha_sq in enumerate(grid):
         ensemble = BinaryEnsemble(math.sqrt(alpha_sq))
         gamma = solve_type2_gamma_imperfect(ensemble.alpha, template.detector).value
-        out.append(
-            simulate_type2(
-                McConfig(
-                    trials=template.trials,
-                    seed=derive_point_seed(template.seed, index),
-                    ensemble=ensemble,
-                    detector=template.detector,
-                    gamma=gamma,
-                )
-            )
-        )
+        seed = derive_point_seed(template.seed, index)
+        out.append(simulate_type2(replace(template, seed=seed, ensemble=ensemble, gamma=gamma)))
     return out

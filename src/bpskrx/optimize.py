@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 
 from .core import (
-    BracketError,
     ConvergenceError,
     UnsupportedConfigurationError,
     BinaryEnsemble,
@@ -64,9 +63,10 @@ def _brentq(f, xa: float, xb: float, xtol: float = 1e-15):
     (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers): root and
     iterations of SciPy's ``brentq(f, xa, xb, xtol)`` with rtol = 4 eps;
     ``xtol = 0``, which SciPy refuses, leaves only the relative tolerance.
-    Where SciPy raises on a NaN from ``f`` or after its 100 iterations,
-    this raises `ConvergenceError` with the last finite iterate in ``best``
-    (None for a NaN at an end); ``< 0`` on nonzero non-NaN is C's signbit.
+    Where SciPy raises on a same-sign bracket, a NaN from ``f`` or after its
+    100 iterations, this raises `ConvergenceError` with the last finite
+    iterate in ``best`` (None at the ends); ``< 0`` on nonzero non-NaN is
+    C's signbit.
     """
     rtol = 4.0 * sys.float_info.epsilon
     xpre, xcur = float(xa), float(xb)
@@ -77,7 +77,7 @@ def _brentq(f, xa: float, xb: float, xtol: float = 1e-15):
     if fpre == 0.0 or fcur == 0.0:
         return (xpre if fpre == 0.0 else xcur), 0
     if (fpre < 0.0) == (fcur < 0.0):
-        raise BracketError(f"f({xa}) and f({xb}) have the same sign")
+        raise ConvergenceError(f"f({xa}) and f({xb}) have the same sign")
     for i in range(1, _MAXITER + 1):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
@@ -287,9 +287,9 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
         c_lo = a4 / (1.0 + k * math.exp(2.0 * _R_END))
         w_hi = _w_tanh_w_inverse(a4 / (1.0 + k * math.exp(-2.0 * _R_END)))
         if not (c_lo > 0.0 and w_hi * math.tanh(w_hi) < a4):
-            raise BracketError(f"floats hold no bracket for |r| <= {_R_END}")
+            raise ConvergenceError(f"floats hold no bracket for |r| <= {_R_END}")
         w, iterations = _brentq(reduced, max(c_lo, math.sqrt(c_lo)), w_hi, xtol=0.0)
-    except (BracketError, ConvergenceError) as exc:
+    except ConvergenceError as exc:
         raise ConvergenceError(f"{failed}: {exc}") from exc
     c = w * math.tanh(w)
     beta, r = alpha / math.tanh(w), 0.5 * math.log(k * (c / (a4 - c)))

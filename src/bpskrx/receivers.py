@@ -200,7 +200,8 @@ def mean_intensity(
 
     ``I = (1 - xi)(tau alpha^2 + beta^2) + xi (sign sqrt(tau) alpha + beta)^2``:
     the matched fraction xi interferes coherently, the rest adds in power.
-    Where the square overflows the call raises UnsupportedConfigurationError.
+    Where the result is not finite (an overflowed square, an inf term, or
+    0 * inf) the call raises UnsupportedConfigurationError.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
@@ -208,8 +209,11 @@ def mean_intensity(
     try:
         coherent = (sign * math.sqrt(tau) * alpha + beta) ** 2
     except OverflowError:
-        raise UnsupportedConfigurationError(f"mean intensity overflows at alpha={alpha!r}") from None
-    return (1.0 - xi) * (tau * alpha * alpha + beta * beta) + xi * coherent
+        coherent = math.nan
+    out = (1.0 - xi) * (tau * alpha * alpha + beta * beta) + xi * coherent
+    if not math.isfinite(out):
+        raise UnsupportedConfigurationError(f"mean intensity overflows at alpha={alpha!r}")
+    return out
 
 
 def type2_imperfect_error(

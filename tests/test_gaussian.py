@@ -183,6 +183,20 @@ def test_empty_direct_sums_rejected():
         GaussianMeasurementSpec.homodyne_stack([], [])
 
 
+def test_measurement_is_its_seed_state():
+    """A measurement is a `GaussianState`: measurement covariance and, as
+    ``disp``, the outcome; its covariance is named in errors."""
+    meas = GaussianMeasurementSpec.homodyne_stack([1.0, 0.5], [0.0, 0.7], (0.1, 0.2, -0.3, 0.4))
+    assert isinstance(meas, GaussianState) and meas.n_modes == 2
+    assert np.array_equal(meas.disp, [0.1, 0.2, -0.3, 0.4])
+    assert np.array_equal(meas.cov, _block_diag([measurement_cov(1.0, 0.0), measurement_cov(0.5, 0.7)]))
+    assert np.array_equal(GaussianMeasurementSpec.homodyne_stack([1.0], [0.0]).disp, [0.0, 0.0])
+    with pytest.raises(ValueError, match="measurement covariance violates the uncertainty"):
+        GaussianMeasurementSpec(0.5 * np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match="state covariance violates the uncertainty"):
+        GaussianState(0.5 * np.eye(2), np.zeros(2))
+
+
 def test_homodyne_stack_unequal_lengths_rejected():
     with pytest.raises(ValueError, match="2 rs but 1 phis"):
         GaussianMeasurementSpec.homodyne_stack([1.0, 2.0], [0.0])

@@ -1,5 +1,6 @@
 """Click-simulation determinism, exact degenerate cases, and coverage."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,6 @@ from bpskrx.montecarlo import (
     _CHUNK,
     _MINUS,
     _PLUS,
-    RNG_ID,
     McConfig,
     McEstimate,
     derive_point_seed,
@@ -40,10 +40,6 @@ def test_validation():
         McConfig(10, -1, ens, det, 0.5)
     with pytest.raises(ValueError):
         McConfig(10, 2**64, ens, det, 0.5)
-    with pytest.raises(ValueError):
-        McEstimate(p_hat=1.5, std_err=0.0, trials=10, seed=1)
-    with pytest.raises(ValueError):
-        McEstimate(p_hat=0.5, std_err=0.1, trials=10, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -74,8 +70,14 @@ def test_non_finite_gamma_rejected(gamma):
 
 
 def test_estimate_std_err_consistency():
-    est = McEstimate(p_hat=0.25, std_err=math.sqrt(0.25 * 0.75 / 400), trials=400, seed=9)
-    assert est.rng_id == RNG_ID
+    """An estimate is its request plus an error count; the rest is derived."""
+    c = _config(0.5, FIG4_DETECTOR, trials=401, seed=9)
+    est = simulate_type2(c)
+    assert est.config is c
+    assert [f.name for f in dataclasses.fields(McEstimate)] == ["config", "errors"]
+    assert est.p_hat == est.errors / c.trials
+    assert est.std_err == math.sqrt(est.p_hat * (1.0 - est.p_hat) / c.trials)
+    assert est.gamma is c.gamma
 
 
 def test_deterministic_given_seed():

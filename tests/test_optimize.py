@@ -102,9 +102,9 @@ def test_type2_imperfect_rejects_dead_detector():
 
 def test_gamma_solves_its_whole_domain():
     """alpha^2 in [1e-300, 1e300] x eta, xi in [1e-15, 1] with eta xi >= 1e-30
-    x tau: the upper end is always a bracket (no BracketError), and the gate
-    relative to the target accepts every root (an absolute 1e-12 rejected 26,
-    at alpha^2 = 1e20; the worst residual is 4.3e-15 T)."""
+    x tau: the upper end is always a bracket (no same-sign ConvergenceError),
+    and the gate relative to the target accepts every root (an absolute 1e-12
+    rejected 26, at alpha^2 = 1e20; the worst residual is 4.3e-15 T)."""
     decades = [10.0**e for e in range(-15, 1, 3)]
     grid = itertools.product(range(-300, 301, 20), decades, decades, (1e-3, 0.5, 0.99, 1.0))
     n = 0

@@ -226,6 +226,11 @@ def test_mean_intensity():
     assert mean_intensity(1, ens, 0.3, det0) == mean_intensity(-1, ens, 0.3, det0)
     with pytest.raises(ValueError):
         mean_intensity(0, ens, 0.3, det)
+    # a non-finite intensity raises: 0 * inf = NaN at xi = 1, inf at xi = 0.5
+    big = BinaryEnsemble(1e155)
+    for xi in (1.0, 0.5):
+        with pytest.raises(UnsupportedConfigurationError, match="mean intensity overflows"):
+            mean_intensity(-1, big, 1e155, DetectorModel(xi=xi))
 
 
 def test_analytic_matches_fock_with_detector():
