@@ -195,7 +195,9 @@ def _solve_gamma(alpha: float, eta: float, tau: float, xi: float) -> RootResult:
     and ``s hi (hi - T) >= u^2 alpha (1/u + 1)^2 >= (1 + 2u) T``, a relative
     margin of at least ``2u``. Below ``eta xi = 1e-30`` that margin nears
     the rounding of ``f(hi)`` (and ``2 eta xi`` underflows past 1e-308), so
-    such inputs raise UnsupportedConfigurationError. The root must pass
+    such inputs raise UnsupportedConfigurationError, and so do those with
+    ``f(1e-12) > 0``, whose root lies below the lower end (this needs
+    ``sqrt(tau) <= 2 eta 1e-24`` up to rounding). The root must pass
     ``|f| < 1e-12 T`` (NaN fails), else ConvergenceError: relative to T, so
     that a root of size ``tau^(1/4)/sqrt(2 eta)`` at ``T << 1`` is not
     accepted to Brent's absolute 1e-15 alone. The
@@ -214,6 +216,11 @@ def _solve_gamma(alpha: float, eta: float, tau: float, xi: float) -> RootResult:
     slope = 2.0 * eta * xi * alpha
     hi = target + 1.0 / math.sqrt(2.0 * eta * xi) + 1.0
     f = lambda x: x * math.tanh(slope * x) - target
+    if f(1e-12) > 0.0:
+        raise UnsupportedConfigurationError(
+            "the gamma condition has its root below 1e-12 "
+            f"(got alpha={alpha!r}, eta={eta!r}, tau={tau!r}, xi={xi!r})"
+        )
     root, iterations = _brentq(f, 1e-12, hi)
     residual, tol = abs(f(root)), 1e-12 * target
     if not residual < tol:

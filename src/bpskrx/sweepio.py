@@ -8,7 +8,8 @@ Numbers are written with ``repr``, Python's shortest round-trip decimal. A
 blank field means "this quantity does not enter that receiver's formula"
 (never NaN); each tag's entry in `receivers.RECEIVERS` lists the detector
 columns it keeps. ``std_err`` is filled only on Monte Carlo rows. Every
-number is finite; the reader rejects ``inf`` and ``nan``.
+number is finite; the reader rejects ``inf`` and ``nan``. A row is an
+immutable named tuple, written and parsed column by column in one pass.
 
 Metadata travels in ``#``-prefixed ``key=value`` lines before the header;
 readers skip any ``#`` line. No timestamps are written anywhere, so equal
@@ -18,7 +19,7 @@ inputs give byte-equal files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .core import PROVENANCES, CsvFormatError, ReceiverResult
 from .receivers import RECEIVERS
@@ -26,8 +27,7 @@ from .receivers import RECEIVERS
 __all__ = ["CSV_HEADER", "CsvRow", "row_from_result", "write_csv", "read_csv"]
 
 
-@dataclass(frozen=True)
-class CsvRow:
+class CsvRow(NamedTuple):
     alpha_sq: float
     receiver: str
     eta: float | None
@@ -42,8 +42,9 @@ class CsvRow:
     std_err: float | None
 
 
-_FIELDS = tuple(f.name for f in fields(CsvRow))
+_FIELDS = CsvRow._fields
 CSV_HEADER = ",".join(_FIELDS)
+_NUMERIC = tuple(i for i, col in enumerate(_FIELDS) if col not in ("receiver", "provenance"))
 
 
 def row_from_result(
@@ -69,22 +70,16 @@ def row_from_result(
     )
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    return repr(float(x))
-
-
 def write_csv(path, rows, metadata: dict | None = None) -> None:
     """Write rows (UTF-8, LF endings) with ``#`` metadata lines up front."""
     lines = []
     for key, value in (metadata or {}).items():
         lines.append(f"# {key}={value}")
     lines.append(CSV_HEADER)
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, f)) for f in _FIELDS))
+    lines += [
+        ",".join(["" if x is None else x if isinstance(x, str) else repr(float(x)) for x in row])
+        for row in rows
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -134,18 +129,15 @@ def read_csv(path) -> tuple[dict, list[CsvRow]]:
             raise CsvFormatError(
                 f"expected {len(_FIELDS)} columns, got {len(parts)}", idx
             )
-        named = dict(zip(_FIELDS, parts))
-        if named["receiver"] not in RECEIVERS:
-            raise CsvFormatError(f"unknown receiver {named['receiver']!r}", idx)
-        if named["provenance"] not in PROVENANCES:
-            raise CsvFormatError(f"unknown provenance {named['provenance']!r}", idx)
-        values = {
-            col: text if col in ("receiver", "provenance") else _parse_float(text, idx, col)
-            for col, text in named.items()
-        }
-        if values["alpha_sq"] is None or values["p_error"] is None:
+        if parts[1] not in RECEIVERS:
+            raise CsvFormatError(f"unknown receiver {parts[1]!r}", idx)
+        if parts[10] not in PROVENANCES:
+            raise CsvFormatError(f"unknown provenance {parts[10]!r}", idx)
+        for i in _NUMERIC:  # the two text columns stay as read
+            parts[i] = _parse_float(parts[i], idx, _FIELDS[i])
+        if parts[0] is None or parts[6] is None:
             raise CsvFormatError("alpha_sq and p_error must not be blank", idx)
-        rows.append(CsvRow(**values))
+        rows.append(CsvRow._make(parts))
     if not header_seen:
         raise CsvFormatError("no header line found", max(len(raw), 1))
     return metadata, rows

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from bpskrx import cli, optimize
-from bpskrx.core import BinaryEnsemble, ConvergenceError, CsvFormatError, DetectorModel
+from bpskrx.core import (
+    BinaryEnsemble,
+    ConvergenceError,
+    CsvFormatError,
+    DetectorModel,
+    ReceiverResult,
+)
 from bpskrx.montecarlo import RNG_ID, McConfig, derive_point_seed, simulate_type2
 from bpskrx.optimize import solve_type2_gamma
 from bpskrx.receivers import (
@@ -27,7 +33,7 @@ from bpskrx.receivers import (
     type2_imperfect_error,
 )
 from bpskrx.svgplot import render_svg
-from bpskrx.sweepio import CSV_HEADER, read_csv, row_from_result, write_csv
+from bpskrx.sweepio import CSV_HEADER, CsvRow, read_csv, row_from_result, write_csv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -131,6 +137,17 @@ def test_gamma_below_eta_xi_floor_is_a_solver_failure(tmp_path, capsys, eta, xi)
     rc = cli.main(["montecarlo", "--trials", "10", *flags, "--out", str(tmp_path / "m.csv")])
     assert rc == 3
     assert "eta xi at least 1e-30" in capsys.readouterr().err
+
+
+def test_gamma_root_below_the_bracket_is_a_solver_failure(tmp_path, capsys):
+    """At tau = 1e-50 the gamma root lies below 1e-12: sweep omits every
+    row with a warning and exits 2."""
+    out = tmp_path / "s.csv"
+    rc = cli.main(["sweep", "--receivers", "type2_imperfect", "--tau", "1e-50",
+                   "--points", "3", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.count("root below 1e-12") == 3
+    assert read_csv(out)[1] == []
 
 
 @pytest.mark.parametrize("argv, expected_rc, message, kept", [
@@ -475,17 +492,48 @@ def test_plot_missing_file_exit_4(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
-def test_csv_round_trip_exact(tmp_path):
-    det = DetectorModel(eta=0.9, nu=1e-3)
+def _one_row_per_tag():
+    """One analytic row per receiver tag (coupled detector where the tag
+    keeps tau and xi), plus one Monte Carlo row with a standard error."""
+    ens, ideal = BinaryEnsemble(0.5), DetectorModel(eta=0.9, nu=1e-3)
+    coupled = DetectorModel(eta=0.9, nu=1e-3, tau=0.95, xi=0.97)
     rows = [
-        row_from_result(0.25, type1_error(BinaryEnsemble(0.5), det)),
-        row_from_result(0.25, kennedy_error(BinaryEnsemble(0.5), det)),
+        row_from_result(0.25, rec.evaluate(ens, coupled if "tau" in rec.detector_cols else ideal))
+        for rec in RECEIVERS.values()
     ]
+    gamma = solve_type2_gamma(0.5, 0.9).value
+    est = simulate_type2(McConfig(1000, 7, ens, ideal, gamma))
+    result = ReceiverResult("type2", est.p_hat, provenance="montecarlo", gamma_opt=gamma,
+                            detector=ideal)
+    return rows + [row_from_result(0.25, result, std_err=est.std_err)]
+
+
+def test_csv_round_trip_exact(tmp_path):
+    rows = _one_row_per_tag()
+    assert [r.receiver for r in rows[:-1]] == list(RECEIVERS)
+    assert rows[-1].provenance == "montecarlo" and rows[-1].std_err > 0.0
     path = tmp_path / "rt.csv"
     write_csv(path, rows, metadata={"scale": "log"})
     meta, back = read_csv(path)
     assert meta == {"scale": "log"}
     assert back == rows  # repr round-trips float64 exactly
+    assert all(type(r) is CsvRow for r in back)
+
+
+def test_csv_numpy_floats_write_the_same_bytes(tmp_path):
+    rows = _one_row_per_tag()
+    wide = [CsvRow._make(np.float64(x) if isinstance(x, float) else x for x in r) for r in rows]
+    assert any(isinstance(x, np.float64) for x in wide[0])
+    write_csv(tmp_path / "py.csv", rows)
+    write_csv(tmp_path / "np.csv", wide)
+    assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "py.csv").read_bytes()
+
+
+def test_csv_row_contract():
+    assert ",".join(CsvRow._fields) == CSV_HEADER
+    row = _one_row_per_tag()[0]
+    with pytest.raises(AttributeError):
+        row.p_error = 0.0
 
 
 def test_csv_detector_column_masking(tmp_path):
@@ -545,6 +593,23 @@ def test_csv_line_numbers_count_metadata_lines(tmp_path):
     with pytest.raises(CsvFormatError) as err:
         read_csv(path)
     assert err.value.line == 4
+
+
+_NUMERIC_COLUMNS = [c for c in CsvRow._fields if c not in ("receiver", "provenance")]
+
+
+@pytest.mark.parametrize("text, problem", [("abc", "is not a number"), ("inf", "is not finite"),
+                                           ("nan", "is not finite")], ids=["abc", "inf", "nan"])
+@pytest.mark.parametrize("col", _NUMERIC_COLUMNS)
+def test_csv_names_the_bad_column(tmp_path, col, text, problem):
+    good = "0.5,type2_imperfect,0.9,0.001,0.95,0.97,0.1,0.2,0.3,0.4,montecarlo,0.01".split(",")
+    bad = [text if name == col else value for name, value in zip(CsvRow._fields, good)]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["# a=1", "# b=2", CSV_HEADER, ",".join(good), ",".join(bad), ""]))
+    with pytest.raises(CsvFormatError) as err:
+        read_csv(path)
+    assert str(err.value) == f"line 5: column '{col}' {problem}: '{text}'"
+    assert err.value.line == 5
 
 
 @pytest.mark.parametrize(

@@ -133,6 +133,17 @@ def test_gamma_gate_rejects_an_imprecise_small_target_root():
     assert abs(info.value.best / 7.071067812101178e-06 - 1.0) > 2e-11
 
 
+def test_gamma_solves_beside_a_root_below_the_lower_end():
+    """At tau = 1e-50 the root of alpha = 0.5 lies below 1e-12 and is refused
+    (`test_solver_input_guards`); larger amplitudes, with f(1e-12) = 0 and
+    f(1e-12) < 0, still return their roots."""
+    res = _solve_gamma(1e13, 1.0, 1e-50, 1.0)
+    assert (res.value, res.residual, res.iterations) == (1e-12, 0.0, 0)
+    res = _solve_gamma(1e20, 1.0, 1e-50, 1.0)
+    assert res.value == float.fromhex("0x1.4f8b588e368f0p-17")
+    assert res.residual == 2.0**-69 and res.iterations == 3
+
+
 def test_type1_gate_scales_with_the_terms():
     """At eta = 2.2e-8 the second residual, 7.45e-9, is round-off of
     8 alpha beta = 3.7e7; an absolute 1e-10 gate rejected the optimum."""
@@ -181,6 +192,9 @@ def test_type1_damped_newton_step():
          UnsupportedConfigurationError, "eta xi at least 1e-30"),
         (lambda: solve_type2_gamma(0.5, 1e-40), UnsupportedConfigurationError,
          "eta xi at least 1e-30"),
+        # f(1e-12) > 0: the root lies below the lower end, refused before any solve
+        (lambda: solve_type2_gamma_imperfect(0.5, DetectorModel(1.0, 0.0, 1e-50, 1.0)),
+         UnsupportedConfigurationError, "root below 1e-12"),
         (lambda: verify_gaussian_optimum(BinaryEnsemble(0.5), [], [0.0]), ValueError, "nonempty"),
         (lambda: verify_gaussian_optimum(BinaryEnsemble(0.5), [1.0], []), ValueError, "nonempty"),
         # a float overflow is a typed error naming the amplitudes
@@ -192,7 +206,8 @@ def test_type1_damped_newton_step():
          r"overflows at alpha=0.5, beta=0.5, r=-400.0"),
     ],
     ids=["type1-eta0", "type1-eta-neg", "type1-eta-above-1", "type1-alpha0", "type1-alpha-neg",
-         "type2-alpha-neg", "type2-eta-xi-underflow", "type2-eta-below-floor", "landscape-no-r",
+         "type2-alpha-neg", "type2-eta-xi-underflow", "type2-eta-below-floor",
+         "type2-root-below-bracket", "landscape-no-r",
          "landscape-no-phi", "dse-overflow-plus", "dse-overflow-minus", "dse-overflow-squeeze"],
 )
 def test_solver_input_guards(call, exc, match):
