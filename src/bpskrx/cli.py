@@ -8,8 +8,9 @@ Subcommands:
 * ``montecarlo``      click-level simulation sweep -> CSV (provenance=montecarlo)
 * ``plot``            render sweep CSVs as a deterministic SVG chart
 
-Exit codes: 0 success, 2 argument error or partial sweep (some points
-omitted), 3 optimizer failure, 4 input format error.
+Exit codes: 0 success, 2 argument error (an unwritable ``--out`` included)
+or partial sweep (some points omitted), 3 optimizer failure, 4 input format
+error.
 """
 
 from __future__ import annotations
@@ -91,6 +92,22 @@ def _usage(build, **kwargs):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _save(path, write, *args) -> int:
+    """Run ``write(path, *args)``; a path that cannot be written is an
+    argument error: one line on stderr and exit 2."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _alpha_grid(args) -> list[float]:
     if not 0.0 <= args.alpha_sq_min < args.alpha_sq_max < math.inf:
         raise argparse.ArgumentTypeError(
@@ -151,18 +168,14 @@ def _cmd_sweep(args) -> int:
                 omitted += 1
                 continue
             rows.append(row_from_result(alpha_sq, result))
-    write_csv(
-        args.out,
-        rows,
-        metadata={
-            "tool": "bpskrx sweep",
-            "receivers": ",".join(args.receivers),
-            **_detector_metadata(det),
-            "scale": args.scale,
-            "points": args.points,
-        },
-    )
-    return 2 if omitted else 0
+    metadata = {
+        "tool": "bpskrx sweep",
+        "receivers": ",".join(args.receivers),
+        **_detector_metadata(det),
+        "scale": args.scale,
+        "points": args.points,
+    }
+    return _save(args.out, write_csv, rows, metadata) or (2 if omitted else 0)
 
 
 def _cmd_params(args) -> int:
@@ -197,8 +210,8 @@ def _cmd_verify_gaussian(args) -> int:
         lines += [
             f"{p.r!r},{p.phi!r},{p.e!r},{p.p_error!r}" for p in points
         ]
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        if _save(args.out, _write_text, "\n".join(lines) + "\n"):
+            return 2
     verdict = "DEGENERATE" if summary.degenerate else ("PASS" if summary.optimal else "FAIL")
     print(f"argmin at (r_max, phi=0): {verdict} ({summary.note})")
     print(
@@ -233,18 +246,14 @@ def _cmd_montecarlo(args) -> int:
             tag, est.p_hat, provenance="montecarlo", gamma_opt=est.gamma, detector=det
         )
         rows.append(row_from_result(alpha_sq, result, std_err=est.std_err))
-    write_csv(
-        args.out,
-        rows,
-        metadata={
-            "tool": "bpskrx montecarlo",
-            "seed": args.seed,
-            "trials": args.trials,
-            "rng_id": RNG_ID,
-            **_detector_metadata(det),
-        },
-    )
-    return 0
+    metadata = {
+        "tool": "bpskrx montecarlo",
+        "seed": args.seed,
+        "trials": args.trials,
+        "rng_id": RNG_ID,
+        **_detector_metadata(det),
+    }
+    return _save(args.out, write_csv, rows, metadata)
 
 
 def _cmd_plot(args) -> int:
@@ -256,9 +265,7 @@ def _cmd_plot(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 4
         rows.extend(file_rows)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_svg(rows))
-    return 0
+    return _save(args.out, _write_text, render_svg(rows))
 
 
 def build_parser() -> argparse.ArgumentParser:

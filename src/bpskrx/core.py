@@ -10,12 +10,16 @@ can import them without circular dependencies:
   (quantum efficiency eta, dark counts nu, transmittance tau, mode match xi).
 * :class:`ReceiverResult` -- a computed error probability with its operating
   parameters and provenance.
+
+Records are immutable named tuples, validated on construction: each checks
+its values in ``__new__``, so build them through the class, never with
+``_make`` or ``_replace``, which skip the check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 __all__ = [
     "BinaryEnsemble", "DetectorModel", "ReceiverResult", "PROVENANCES", "ConvergenceError",
@@ -77,22 +81,21 @@ class CsvFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class BinaryEnsemble:
+class BinaryEnsemble(namedtuple("BinaryEnsemble", "alpha")):
     """Binary coherent signal {|alpha>, |-alpha>}, each sent with prior 1/2.
 
     ``alpha`` is the real signal amplitude (mean photon number alpha**2).
     """
 
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+    def __new__(cls, alpha: float):
+        if not (alpha >= 0.0 and math.isfinite(alpha)):
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+        return tuple.__new__(cls, (alpha,))
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(namedtuple("DetectorModel", "eta nu tau xi")):
     """On/off detector with coupling imperfections.
 
     eta: quantum efficiency in [0, 1].
@@ -102,17 +105,15 @@ class DetectorModel:
     xi:  mode-match factor between signal and local oscillator in [0, 1].
     """
 
-    eta: float = 1.0
-    nu: float = 0.0
-    tau: float = 1.0
-    xi: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, x in (("eta", self.eta), ("tau", self.tau), ("xi", self.xi)):
+    def __new__(cls, eta: float = 1.0, nu: float = 0.0, tau: float = 1.0, xi: float = 1.0):
+        for name, x in (("eta", eta), ("tau", tau), ("xi", xi)):
             if not 0.0 <= x <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
-        if not (self.nu >= 0.0 and math.isfinite(self.nu)):
-            raise ValueError(f"nu must be finite and >= 0, got {self.nu!r}")
+        if not (nu >= 0.0 and math.isfinite(nu)):
+            raise ValueError(f"nu must be finite and >= 0, got {nu!r}")
+        return tuple.__new__(cls, (eta, nu, tau, xi))
 
     @property
     def ideal_coupling(self) -> bool:
@@ -129,29 +130,32 @@ PROVENANCES = ("analytic", "montecarlo")
 _RECEIVERS = None
 
 
-@dataclass(frozen=True)
-class ReceiverResult:
+class ReceiverResult(
+    namedtuple("ReceiverResult", "receiver p_error provenance beta_opt r_opt gamma_opt detector")
+):
     """Error probability of one receiver at one operating point.
 
     Optional operating parameters are populated only where they apply
     (beta_opt/r_opt for the displacement+squeezing receiver, gamma_opt for
     displacement-only receivers). ``provenance`` records how the number was
-    obtained: "analytic" or "montecarlo".
+    obtained: "analytic" or "montecarlo". ``detector`` defaults to one shared
+    ideal `DetectorModel`.
     """
 
-    receiver: str
-    p_error: float
-    provenance: str = "analytic"
-    beta_opt: float | None = None
-    r_opt: float | None = None
-    gamma_opt: float | None = None
-    detector: DetectorModel = field(default_factory=DetectorModel)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls, receiver: str, p_error: float, provenance: str = "analytic",
+        beta_opt: float | None = None, r_opt: float | None = None,
+        gamma_opt: float | None = None, detector: DetectorModel = DetectorModel(),
+    ):
         global _RECEIVERS
         if _RECEIVERS is None:
             from .receivers import RECEIVERS as _RECEIVERS
-        if self.receiver not in _RECEIVERS:
-            raise ValueError(f"unknown receiver tag {self.receiver!r}")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+        if receiver not in _RECEIVERS:
+            raise ValueError(f"unknown receiver tag {receiver!r}")
+        if provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        return tuple.__new__(
+            cls, (receiver, p_error, provenance, beta_opt, r_opt, gamma_opt, detector)
+        )

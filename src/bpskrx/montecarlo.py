@@ -25,7 +25,8 @@ computed as if signs were i.i.d. and is therefore conservative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,27 +56,25 @@ _PLUS.setflags(write=False)
 _MINUS.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(namedtuple("McConfig", "trials seed ensemble detector gamma")):
     """One simulation request: how many trials, which seed, what physics."""
 
-    trials: int
-    seed: int
-    ensemble: BinaryEnsemble
-    detector: DetectorModel
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.trials) is not int or self.trials < 1:
-            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
-        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
+    def __new__(
+        cls, trials: int, seed: int, ensemble: BinaryEnsemble, detector: DetectorModel,
+        gamma: float,
+    ):
+        if type(trials) is not int or trials < 1:
+            raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+        if type(seed) is not int or not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma!r}")
+        return tuple.__new__(cls, (trials, seed, ensemble, detector, gamma))
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """The error count of one simulation request, with the estimated error
     probability, its binomial standard error and the displacement ``gamma``
     of the simulated receiver derived from it."""
@@ -148,5 +147,6 @@ def sweep_montecarlo(grid, template: McConfig) -> list[McEstimate]:
         ensemble = BinaryEnsemble(math.sqrt(alpha_sq))
         gamma = solve_type2_gamma_imperfect(ensemble.alpha, template.detector).value
         seed = derive_point_seed(template.seed, index)
-        out.append(simulate_type2(replace(template, seed=seed, ensemble=ensemble, gamma=gamma)))
+        config = McConfig(template.trials, seed, ensemble, template.detector, gamma)
+        out.append(simulate_type2(config))
     return out

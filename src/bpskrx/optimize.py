@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .core import (
     ConvergenceError,
@@ -41,8 +42,7 @@ _R_END = 12.0
 _MAXITER = 100  #: iteration cap of `_brentq`, SciPy's ``brentq`` default
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     """Outcome of a root solve.
 
     value : the solution; a float for scalar solves, a (beta, r) tuple for
@@ -401,22 +401,18 @@ def bayes_error_from_contrast(ensemble: BinaryEnsemble, e: float) -> float:
     return float(0.5 * _erfc(math.sqrt(2.0 * e) * alpha))
 
 
-@dataclass(frozen=True)
-class LandscapePoint:
+class LandscapePoint(namedtuple("LandscapePoint", "r phi e p_error")):
     """One grid point of the Gaussian-measurement landscape."""
 
-    r: float
-    phi: float
-    e: float
-    p_error: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not -1e-12 <= self.e <= 1.0 + 1e-12:
-            raise ValueError(f"sharpness e = {self.e} outside [0, 1]")
+    def __new__(cls, r: float, phi: float, e: float, p_error: float):
+        if not -1e-12 <= e <= 1.0 + 1e-12:
+            raise ValueError(f"sharpness e = {e} outside [0, 1]")
+        return tuple.__new__(cls, (r, phi, e, p_error))
 
 
-@dataclass(frozen=True)
-class LandscapeSummary:
+class LandscapeSummary(NamedTuple):
     """Verdict of the landscape scan: where the minimum sits and whether it
     matches the expected sharp-homodyne corner."""
 

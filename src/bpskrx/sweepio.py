@@ -100,11 +100,17 @@ def read_csv(path) -> tuple[dict, list[CsvRow]]:
     """Parse a sweep CSV back into rows.
 
     Raises CsvFormatError naming the offending 1-based line on any schema
-    violation: wrong header, wrong column count, non-numeric or non-finite
-    values, blank required fields, unknown receiver tags or provenance.
+    violation: bytes that are not UTF-8, wrong header, wrong column count,
+    non-numeric or non-finite values, blank required fields, unknown receiver
+    tags or provenance.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().split("\n")
+    except UnicodeDecodeError as exc:  # exc.object holds the whole file's bytes
+        bad = exc.object[exc.start]
+        line = len(exc.object[: exc.start + 1].splitlines())
+        raise CsvFormatError(f"not UTF-8: {exc.reason} {bad:#04x}", line) from None
     metadata: dict = {}
     rows: list[CsvRow] = []
     header_seen = False

@@ -1,6 +1,7 @@
 """End-to-end CLI runs (direct main() calls) and the CSV/SVG round trip."""
 
 import argparse
+import errno
 import math
 import os
 import re
@@ -490,6 +491,45 @@ def test_plot_bad_value_exit_4(tmp_path, capsys, row):
 def test_plot_missing_file_exit_4(tmp_path, capsys):
     assert cli.main(["plot", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x.svg")]) == 4
     assert "nope.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [(b"\xff\xfe\x00bad", 1), (b"# a=1\r\n" + CSV_HEADER.encode() + b"\r\n1.0,hel\xe9strom", 3)],
+    ids=["first-byte", "crlf-line-3"],
+)
+def test_plot_non_utf8_input_exit_4(tmp_path, capsys, data, line):
+    bad = tmp_path / "bin.csv"
+    bad.write_bytes(data)
+    assert cli.main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line {line}: not UTF-8:"), err
+    assert err.count("\n") == 1
+    with pytest.raises(CsvFormatError) as exc:
+        read_csv(bad)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--points", "3"],
+        ["verify-gaussian", "--alpha-sq", "0.25"],
+        ["montecarlo", "--points", "2", "--trials", "100"],
+        ["plot", "{tmp}/in.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exit_2(tmp_path, capsys, argv):
+    if argv[0] == "plot":
+        assert cli.main(["sweep", "--points", "3", "--out", str(tmp_path / "in.csv")]) == 0
+    out = tmp_path / "missing" / "x.out"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: {os.strerror(errno.ENOENT)}\n"
+    assert captured.out == ""
+    assert not out.parent.exists()
 
 
 def _one_row_per_tag():

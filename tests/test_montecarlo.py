@@ -1,6 +1,5 @@
 """Click-simulation determinism, exact degenerate cases, and coverage."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -74,7 +73,7 @@ def test_estimate_std_err_consistency():
     c = _config(0.5, FIG4_DETECTOR, trials=401, seed=9)
     est = simulate_type2(c)
     assert est.config is c
-    assert [f.name for f in dataclasses.fields(McEstimate)] == ["config", "errors"]
+    assert McEstimate._fields == ("config", "errors")
     assert est.p_hat == est.errors / c.trials
     assert est.std_err == math.sqrt(est.p_hat * (1.0 - est.p_hat) / c.trials)
     assert est.gamma is c.gamma
