@@ -8,15 +8,17 @@ Subcommands:
 * ``montecarlo``      click-level simulation sweep -> CSV (provenance=montecarlo)
 * ``plot``            render sweep CSVs as a deterministic SVG chart
 
-Exit codes: 0 success, 2 argument error (an unwritable ``--out`` included)
-or partial sweep (some points omitted), 3 optimizer failure, 4 input format
-error.
+Exit codes: 0 success, 1 landscape verification failed, 2 argument error
+(an unwritable ``--out`` included) or partial sweep (some points omitted),
+3 optimizer failure, 4 input format error, 141 standard output closed
+before the output was written (the shell's SIGPIPE status; nothing on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .core import (
@@ -326,9 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout is not None:  # None where fd 1 was closed (``>&-``)
+            sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
+        return status
     except argparse.ArgumentTypeError as exc:
         args.usage_error(str(exc))  # exits 2 with the subcommand's usage line
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ variant), each one Brent solve on a bracket of its own, and a grid verifier
 for the claim that sharp x-homodyne is the best single-mode Gaussian
 measurement on the binary coherent ensemble, with the sharpness factor and
 Bayes error it scans. All on Python floats, without numpy or scipy: `_brentq`
-and `_erfc` are line-for-line ports of scipy's ``brentq`` and ``erfc``.
+and `_erfc` are step-for-step ports of scipy's ``brentq`` and ``erfc``.
 """
 
 from __future__ import annotations
@@ -59,14 +59,15 @@ class RootResult(NamedTuple):
 def _brentq(f, xa: float, xb: float, xtol: float = 1e-15):
     """Brent's method on a sign-changing bracket; returns (root, iterations).
 
-    A line-for-line port of ``brentq.c`` in SciPy (BSD-3-Clause, Copyright
+    A step-for-step port of ``brentq.c`` in SciPy (BSD-3-Clause, Copyright
     (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers): root and
     iterations of SciPy's ``brentq(f, xa, xb, xtol)`` with rtol = 4 eps;
     ``xtol = 0``, which SciPy refuses, leaves only the relative tolerance.
     Where SciPy raises on a same-sign bracket, a NaN from ``f`` or after its
     100 iterations, this raises `ConvergenceError` with the last finite
     iterate in ``best`` (None at the ends); ``< 0`` on nonzero non-NaN is
-    C's signbit.
+    C's signbit. ``|x|`` is ``x if x >= 0.0 else -x`` and ``min(a, b)`` is
+    ``b if b < a else a``, the same comparisons without a call.
     """
     rtol = 4.0 * sys.float_info.epsilon
     xpre, xcur = float(xa), float(xb)
@@ -82,14 +83,19 @@ def _brentq(f, xa: float, xb: float, xtol: float = 1e-15):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        afcur = fcur if fcur >= 0.0 else -fcur
+        afblk = fblk if fblk >= 0.0 else -fblk
+        if afblk < afcur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+            afcur = afblk
+        delta = (xtol + rtol * (xcur if xcur >= 0.0 else -xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        asbis = sbis if sbis >= 0.0 else -sbis
+        if fcur == 0.0 or asbis < delta:
             return xcur, i
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        aspre = spre if spre >= 0.0 else -spre
+        if aspre > delta and afcur < (fpre if fpre >= 0.0 else -fpre):
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:  # extrapolate; a zero divisor makes C's step inf or NaN
@@ -97,14 +103,16 @@ def _brentq(f, xa: float, xb: float, xtol: float = 1e-15):
                 dblk = (fblk - fcur) / (xblk - xcur)
                 den = dblk * dpre * (fblk - fpre)
                 stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
+            bound = 3 * asbis - delta
+            if 2 * (stry if stry >= 0.0 else -stry) < (bound if bound < aspre else aspre):
+                spre, scur = scur, stry  # good short step
             else:  # bisect
                 spre = scur = sbis
         else:  # bisect
             spre = scur = sbis
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        ascur = scur if scur >= 0.0 else -scur
+        xcur += scur if ascur > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
         if fcur != fcur:
             raise ConvergenceError(f"f({xcur!r}) is NaN", best=xpre)
@@ -215,7 +223,8 @@ def _solve_gamma(alpha: float, eta: float, tau: float, xi: float) -> RootResult:
     target = xi * math.sqrt(tau) * alpha
     slope = 2.0 * eta * xi * alpha
     hi = target + 1.0 / math.sqrt(2.0 * eta * xi) + 1.0
-    f = lambda x: x * math.tanh(slope * x) - target
+    tanh = math.tanh
+    f = lambda x: x * tanh(slope * x) - target
     if f(1e-12) > 0.0:
         raise UnsupportedConfigurationError(
             "the gamma condition has its root below 1e-12 "
@@ -255,8 +264,8 @@ def _w_tanh_w_inverse(c: float) -> float:
     else a root within ``max(c, sqrt c) <= w <= (c + sqrt(c (c + 4)))/2``."""
     if c < 1e-12:
         return math.sqrt(c) * (1.0 + c / 6.0)
-    hi = 0.5 * (c + math.sqrt(c) * math.sqrt(c + 4.0))
-    return _brentq(lambda w: w * math.tanh(w) - c, max(c, math.sqrt(c)), hi, xtol=0.0)[0]
+    hi, tanh = 0.5 * (c + math.sqrt(c) * math.sqrt(c + 4.0)), math.tanh
+    return _brentq(lambda w: w * tanh(w) - c, max(c, math.sqrt(c)), hi, xtol=0.0)[0]
 
 
 def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
@@ -281,14 +290,16 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
         raise UnsupportedConfigurationError(f"eta must be positive and at most 1, got {eta!r}")
     if alpha <= 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha!r}")
-    a4, k = 4.0 * alpha * alpha, (2.0 - eta) / eta
+    alpha4, eta2 = 4.0 * alpha, 2.0 - eta  # products as Python groups them
+    a4, k = alpha4 * alpha, eta2 / eta
+    eta_a4, tanh, exp, expm1 = eta * a4, math.tanh, math.exp, math.expm1
     failed = f"stationarity solve failed for alpha={alpha}, eta={eta}"
 
     def reduced(w: float) -> float:
-        c = w * math.tanh(w)
+        c = w * tanh(w)
         x = k * (c / (a4 - c))
-        q = 4.0 * alpha * math.exp(-w) / math.expm1(-2.0 * w)
-        return q * q - (x - 1.0) * (x + 1.0) * (eta * a4 / c) / (eta + (2.0 - eta) * x)
+        q = alpha4 * exp(-w) / expm1(-2.0 * w)
+        return q * q - (x - 1.0) * (x + 1.0) * (eta_a4 / c) / (eta + eta2 * x)
 
     try:
         c_lo = a4 / (1.0 + k * math.exp(2.0 * _R_END))

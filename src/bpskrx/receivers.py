@@ -119,7 +119,7 @@ def _click_result(
         twice_p = math.nan
     if twice_p != twice_p:  # an overflowed expm1, or inf - inf
         raise UnsupportedConfigurationError(f"{tag} click probability overflows at alpha={alpha!r}")
-    return ReceiverResult(tag, 0.5 * twice_p, gamma_opt=gamma, detector=detector)
+    return ReceiverResult(tag, 0.5 * twice_p, "analytic", None, None, gamma, detector)
 
 
 def kennedy_error(
@@ -181,15 +181,8 @@ def type1_error(
             "every (beta, r) gives P = 1/2"
         )
     beta, r = solve_type1_params(ensemble.alpha, detector.eta).value
-    return ReceiverResult(
-        receiver="type1",
-        p_error=displaced_squeezed_error(
-            ensemble.alpha, beta, r, detector.eta, detector.nu
-        ),
-        beta_opt=beta,
-        r_opt=r,
-        detector=detector,
-    )
+    p_error = displaced_squeezed_error(ensemble.alpha, beta, r, detector.eta, detector.nu)
+    return ReceiverResult("type1", p_error, "analytic", beta, r, None, detector)
 
 
 def mean_intensity(

@@ -93,15 +93,14 @@ def render_svg(rows: list[CsvRow]) -> str:
     px_w = _W - _ML - _MR
     px_h = _H - _MT - _MB
 
+    lx_lo, ly_hi = math.log10(x_lo), math.log10(y_hi)
+    x_span, y_span = math.log10(x_hi) - lx_lo, ly_hi - math.log10(y_lo)
+
     def sx(x: float) -> float:
-        return _ML + px_w * (math.log10(x) - math.log10(x_lo)) / (
-            math.log10(x_hi) - math.log10(x_lo)
-        )
+        return _ML + px_w * (math.log10(x) - lx_lo) / x_span
 
     def sy(y: float) -> float:
-        return _MT + px_h * (math.log10(y_hi) - math.log10(y)) / (
-            math.log10(y_hi) - math.log10(y_lo)
-        )
+        return _MT + px_h * (ly_hi - math.log10(y)) / y_span
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

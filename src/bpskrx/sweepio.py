@@ -13,7 +13,8 @@ immutable named tuple, written and parsed column by column in one pass.
 
 Metadata travels in ``#``-prefixed ``key=value`` lines before the header;
 readers skip any ``#`` line. No timestamps are written anywhere, so equal
-inputs give byte-equal files.
+inputs give byte-equal files: UTF-8 with LF endings. The reader takes CRLF
+and lone CR endings as LF.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ class CsvRow(NamedTuple):
 _FIELDS = CsvRow._fields
 CSV_HEADER = ",".join(_FIELDS)
 _NUMERIC = tuple(i for i, col in enumerate(_FIELDS) if col not in ("receiver", "provenance"))
+#: Per receiver tag, whether its rows keep the eta, nu, tau and xi columns.
+_KEEP = {
+    tag: tuple(col in rec.detector_cols for col in ("eta", "nu", "tau", "xi"))
+    for tag, rec in RECEIVERS.items()
+}
 
 
 def row_from_result(
@@ -52,22 +58,14 @@ def row_from_result(
 ) -> CsvRow:
     """Serialize a receiver evaluation, blanking the detector columns its
     entry in the receiver table does not keep."""
-    cols = RECEIVERS[result.receiver].detector_cols
-    det = result.detector
-    return CsvRow(
-        alpha_sq=alpha_sq,
-        receiver=result.receiver,
-        eta=det.eta if "eta" in cols else None,
-        nu=det.nu if "nu" in cols else None,
-        tau=det.tau if "tau" in cols else None,
-        xi=det.xi if "xi" in cols else None,
-        p_error=result.p_error,
-        beta_opt=result.beta_opt,
-        r_opt=result.r_opt,
-        gamma_opt=result.gamma_opt,
-        provenance=result.provenance,
-        std_err=std_err,
-    )
+    receiver, p_error, provenance, beta_opt, r_opt, gamma_opt, det = result
+    eta, nu, tau, xi = det
+    keep_eta, keep_nu, keep_tau, keep_xi = _KEEP[receiver]
+    return tuple.__new__(CsvRow, (
+        alpha_sq, receiver, eta if keep_eta else None, nu if keep_nu else None,
+        tau if keep_tau else None, xi if keep_xi else None,
+        p_error, beta_opt, r_opt, gamma_opt, provenance, std_err,
+    ))
 
 
 def write_csv(path, rows, metadata: dict | None = None) -> None:
@@ -80,8 +78,9 @@ def write_csv(path, rows, metadata: dict | None = None) -> None:
         ",".join(["" if x is None else x if isinstance(x, str) else repr(float(x)) for x in row])
         for row in rows
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _parse_float(text: str, line_no: int, col: str) -> float | None:
@@ -105,12 +104,13 @@ def read_csv(path) -> tuple[dict, list[CsvRow]]:
     tags or provenance.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read().split("\n")
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:  # exc.object holds the whole file's bytes
         bad = exc.object[exc.start]
         line = len(exc.object[: exc.start + 1].splitlines())
         raise CsvFormatError(f"not UTF-8: {exc.reason} {bad:#04x}", line) from None
+    raw = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # as text mode reads
     metadata: dict = {}
     rows: list[CsvRow] = []
     header_seen = False
@@ -143,7 +143,7 @@ def read_csv(path) -> tuple[dict, list[CsvRow]]:
             parts[i] = _parse_float(parts[i], idx, _FIELDS[i])
         if parts[0] is None or parts[6] is None:
             raise CsvFormatError("alpha_sq and p_error must not be blank", idx)
-        rows.append(CsvRow._make(parts))
+        rows.append(tuple.__new__(CsvRow, parts))
     if not header_seen:
         raise CsvFormatError("no header line found", max(len(raw), 1))
     return metadata, rows

@@ -232,6 +232,43 @@ def test_params_huge_alpha_no_warnings():
     assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv", [["params", "--alpha-sq", "1"], ["verify-gaussian", "--alpha-sq", "0.25"]],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
+    """A reader that is gone before the output is written (``| head -c0``)
+    gives the shell's SIGPIPE status and nothing on stderr, whether the
+    write fails at a print or at the final flush."""
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bpskrx.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+def test_no_stdout_at_all_exits_0():
+    """With fd 1 closed (``>&-``) Python has no ``sys.stdout`` and print
+    writes nothing; the command still succeeds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bpskrx.cli", "params", "--alpha-sq", "1"],
+        stderr=subprocess.PIPE, env=env, timeout=60, preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+
+
 def test_verify_gaussian_pass(tmp_path, capsys):
     out = tmp_path / "landscape.csv"
     rc = cli.main(["verify-gaussian", "--alpha-sq", "0.25", "--out", str(out)])
@@ -558,6 +595,23 @@ def test_csv_round_trip_exact(tmp_path):
     assert meta == {"scale": "log"}
     assert back == rows  # repr round-trips float64 exactly
     assert all(type(r) is CsvRow for r in back)
+
+
+def test_csv_line_endings_and_utf8_bytes(tmp_path):
+    """CRLF and lone-CR files read as the LF file does, and non-ASCII
+    metadata is written as UTF-8 with LF endings."""
+    rows = _one_row_per_tag()
+    lf = tmp_path / "lf.csv"
+    write_csv(lf, rows, metadata={"note": "\u03b7 = 0.9", "scale": "log"})
+    data = lf.read_bytes()
+    assert data.startswith(b"# note=\xce\xb7 = 0.9\n# scale=log\n" + CSV_HEADER.encode() + b"\n")
+    assert data.endswith(b"\n") and b"\r" not in data
+    expected = read_csv(lf)
+    assert expected == ({"note": "\u03b7 = 0.9", "scale": "log"}, rows)
+    for name, ending in (("crlf.csv", b"\r\n"), ("cr.csv", b"\r")):
+        other = tmp_path / name
+        other.write_bytes(data.replace(b"\n", ending))
+        assert read_csv(other) == expected
 
 
 def test_csv_numpy_floats_write_the_same_bytes(tmp_path):

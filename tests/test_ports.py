@@ -3,7 +3,8 @@
 `optimize._erfc` against ``scipy.special.erfc`` and `optimize._brentq`
 against ``scipy.optimize.brentq``, compared with ``==``: the ports replace
 the scipy calls on the analytic path, so any difference would move the
-printed curves.
+printed curves. `_brentq` is pinned at the absolute tolerance of the gamma
+solve and at the relative-only tolerance (``xtol = 0``) of the type1 solve.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import erfc
 
+from bpskrx import optimize
 from bpskrx.core import ConvergenceError
 from bpskrx.optimize import _brentq, _erfc
 
@@ -60,7 +62,24 @@ def _brackets():
     yield (lambda x: x * x - 0.25), 0.5, 1.0
 
 
-def test_brentq_equals_scipy_bitwise():
+def _type1_brackets(monkeypatch):
+    """The ``w tanh w = c`` and ``reduced`` brackets that `solve_type1_params`
+    hands to `_brentq` over an (alpha, eta) grid, alpha in [1e-3, 31.6] and
+    eta in [1e-3, 1], recorded as (f, lo, hi, xtol)."""
+    calls = []
+
+    def record(f, lo, hi, xtol=1e-15):
+        calls.append((f, lo, hi, xtol))
+        return _brentq(f, lo, hi, xtol)
+
+    monkeypatch.setattr(optimize, "_brentq", record)
+    for alpha, eta in itertools.product(np.logspace(-3.0, 1.5, 12), np.logspace(-3.0, 0.0, 11)):
+        optimize.solve_type1_params(float(alpha), float(eta))
+    monkeypatch.undo()
+    return calls
+
+
+def test_brentq_equals_scipy_bitwise(monkeypatch):
     n = 0
     for f, lo, hi in _brackets():
         ours, iters = _brentq(f, lo, hi)
@@ -70,6 +89,20 @@ def test_brentq_equals_scipy_bitwise():
             assert iters == info.iterations
         n += 1
     assert n == 16 * 4 * 6 + 1
+    # relative tolerance alone; SciPy needs xtol > 0, and 5e-324 is lost in
+    # xtol + rtol |x| at every root here
+    calls = _type1_brackets(monkeypatch)
+    assert len(calls) == 12 * 11 * 2
+    n = 0
+    for f, lo, hi, xtol in calls:
+        assert xtol == 0.0
+        ours, iters = _brentq(f, lo, hi, xtol=0.0)
+        theirs, info = brentq(f, lo, hi, xtol=5e-324, full_output=True)
+        assert ours == theirs
+        if f(lo) != 0.0 and f(hi) != 0.0:  # SciPy leaves iterations unset at a zero end
+            assert iters == info.iterations
+            n += 1
+    assert n == 231
     same_sign = lambda x: x * x + 1.0
     with pytest.raises(ConvergenceError, match="same sign"):
         _brentq(same_sign, 0.0, 1.0)
