@@ -2,7 +2,7 @@
 
 Root solvers for the displacement photon receivers (optimal displacement
 gamma, and the joint displacement/squeezing pair for the squeeze-assisted
-variant), each one Brent solve on a bracket of its own, and a grid verifier
+variant), both built on one inversion of ``w tanh w = c``, and a grid verifier
 for the claim that sharp x-homodyne is the best single-mode Gaussian
 measurement on the binary coherent ensemble, with the sharpness factor and
 Bayes error it scans. All on Python floats, without numpy or scipy: `_brentq`
@@ -47,7 +47,8 @@ class RootResult(NamedTuple):
 
     value : the solution; a float for scalar solves, a (beta, r) tuple for
         the two-parameter solver.
-    residual : achieved max |f| at the solution.
+    residual : achieved max |f| at the solution; for gamma, ``|w tanh w - c|``
+        of its inversion (0 where the tanh saturates).
     iterations : Brent iterations spent; for the type1 pair, of its w-solve.
     """
 
@@ -192,49 +193,29 @@ def type1_residuals(alpha: float, beta: float, r: float, eta: float) -> tuple[fl
 
 
 def _solve_gamma(alpha: float, eta: float, tau: float, xi: float) -> RootResult:
-    """The gamma condition ``xi sqrt(tau) alpha = gamma tanh(2 eta xi alpha
-    gamma)`` on gamma > 0, shared by both public solvers.
+    """The gamma condition ``xi sqrt(tau) alpha = gamma tanh(y)``, ``y = 2 eta
+    xi sqrt(tau) alpha gamma``, on gamma > 0: where the click error ``1/2 -
+    exp(-nu - eta (tau alpha^2 + gamma^2)) sinh(y)`` is least. Shared by both
+    public solvers.
 
-    With ``s = 2 eta xi alpha``, ``T = xi sqrt(tau) alpha`` and ``u =
-    sqrt(2 eta xi)``, ``f(x) = x tanh(s x) - T`` rises strictly from -T
-    through the unique root, solved by one `_brentq` call on ``[1e-12, T +
-    1/u + 1]``. For ``xi sqrt(tau) <= 1`` that upper end ``hi`` is a bracket:
-    ``tanh y >= y/(1 + y)`` gives ``f(hi) (1 + s hi) >= s hi (hi - T) - T``,
-    and ``s hi (hi - T) >= u^2 alpha (1/u + 1)^2 >= (1 + 2u) T``, a relative
-    margin of at least ``2u``. Below ``eta xi = 1e-30`` that margin nears
-    the rounding of ``f(hi)`` (and ``2 eta xi`` underflows past 1e-308), so
-    such inputs raise UnsupportedConfigurationError, and so do those with
-    ``f(1e-12) > 0``, whose root lies below the lower end (this needs
-    ``sqrt(tau) <= 2 eta 1e-24`` up to rounding). The root must pass
-    ``|f| < 1e-12 T`` (NaN fails), else ConvergenceError: relative to T, so
-    that a root of size ``tau^(1/4)/sqrt(2 eta)`` at ``T << 1`` is not
-    accepted to Brent's absolute 1e-15 alone. The
-    ``alpha = 0`` limit ``gamma^2 = sqrt(tau) / (2 eta)`` needs no solve.
+    It is ``y tanh y = c``, ``c = 2 eta xi^2 tau alpha^2``, which
+    `_w_tanh_w_inverse` solves for type1 too: ``gamma = u / sqrt(2 eta)`` with
+    ``u = w / sqrt(c)``, or ``1 + c/6`` below c = 1e-12 (alpha = 0 included).
+    Above c = 20 tanh y is 1 to a double and ``gamma = xi sqrt(tau) alpha``.
     """
-    if eta <= 0.0 or xi <= 0.0 or tau <= 0.0 or eta * xi < 1e-30:
+    if eta <= 0.0 or xi <= 0.0 or tau <= 0.0:
         raise UnsupportedConfigurationError(
-            "eta, tau, xi must be positive and eta xi at least 1e-30 for the "
-            f"gamma condition (got eta={eta!r}, tau={tau!r}, xi={xi!r})"
+            "eta, tau, xi must be positive for the gamma condition "
+            f"(got eta={eta!r}, tau={tau!r}, xi={xi!r})"
         )
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
-    if alpha == 0.0:
-        return RootResult(math.sqrt(math.sqrt(tau) / (2.0 * eta)), 0.0, 0)
-    target = xi * math.sqrt(tau) * alpha
-    slope = 2.0 * eta * xi * alpha
-    hi = target + 1.0 / math.sqrt(2.0 * eta * xi) + 1.0
-    tanh = math.tanh
-    f = lambda x: x * tanh(slope * x) - target
-    if f(1e-12) > 0.0:
-        raise UnsupportedConfigurationError(
-            "the gamma condition has its root below 1e-12 "
-            f"(got alpha={alpha!r}, eta={eta!r}, tau={tau!r}, xi={xi!r})"
-        )
-    root, iterations = _brentq(f, 1e-12, hi)
-    residual, tol = abs(f(root)), 1e-12 * target
-    if not residual < tol:
-        raise ConvergenceError(f"gamma residual {residual:.3e} exceeds {tol:.3e}", best=root)
-    return RootResult(root, residual, iterations)
+    c = 2.0 * eta * xi * xi * tau * alpha * alpha
+    if c > 20.0:
+        return RootResult(xi * math.sqrt(tau) * alpha, 0.0, 0)
+    w, iterations = _w_tanh_w_inverse(c)
+    u = 1.0 + c / 6.0 if c < 1e-12 else w / math.sqrt(c)
+    return RootResult(u / math.sqrt(2.0 * eta), abs(w * math.tanh(w) - c), iterations)
 
 
 def solve_type2_gamma(alpha: float, eta: float = 1.0) -> RootResult:
@@ -243,8 +224,8 @@ def solve_type2_gamma(alpha: float, eta: float = 1.0) -> RootResult:
     Solves ``alpha = gamma tanh(2 eta alpha gamma)``; the solution satisfies
     ``gamma >= alpha`` and approaches ``1/sqrt(2 eta)`` as ``alpha -> 0``
     (returned directly in that limit, no iteration) and ``alpha`` itself for
-    large amplitudes where the tanh saturates. Any ``eta >= 1e-30`` is
-    accepted; a smaller one raises UnsupportedConfigurationError.
+    large amplitudes where the tanh saturates. Any ``eta > 0`` is accepted;
+    any other raises UnsupportedConfigurationError.
     """
     return _solve_gamma(alpha, eta, 1.0, 1.0)
 
@@ -252,20 +233,21 @@ def solve_type2_gamma(alpha: float, eta: float = 1.0) -> RootResult:
 def solve_type2_gamma_imperfect(alpha: float, detector: DetectorModel) -> RootResult:
     """Optimal displacement under transmission tau and mode overlap xi.
 
-    Solves ``xi sqrt(tau) alpha = gamma tanh(2 eta xi alpha gamma)``. At
-    ``tau = xi = 1`` every coefficient is multiplied by exactly 1.0, so the
-    result is bitwise equal to `solve_type2_gamma`.
+    Solves ``xi sqrt(tau) alpha = gamma tanh(2 eta xi sqrt(tau) alpha
+    gamma)``. At ``tau = xi = 1`` every coefficient is multiplied by exactly
+    1.0, so the result is bitwise equal to `solve_type2_gamma`.
     """
     return _solve_gamma(alpha, detector.eta, detector.tau, detector.xi)
 
 
-def _w_tanh_w_inverse(c: float) -> float:
-    """The w > 0 with ``w tanh w = c``: ``sqrt(c) (1 + c/6)`` below 1e-12,
-    else a root within ``max(c, sqrt c) <= w <= (c + sqrt(c (c + 4)))/2``."""
+def _w_tanh_w_inverse(c: float) -> tuple[float, int]:
+    """(w, iterations) for the w >= 0 with ``w tanh w = c``: ``sqrt(c) (1 +
+    c/6)`` below 1e-12, else the `_brentq` root, to relative precision, within
+    ``max(c, sqrt c) <= w <= (c + sqrt(c (c + 4)))/2``."""
     if c < 1e-12:
-        return math.sqrt(c) * (1.0 + c / 6.0)
+        return math.sqrt(c) * (1.0 + c / 6.0), 0
     hi, tanh = 0.5 * (c + math.sqrt(c) * math.sqrt(c + 4.0)), math.tanh
-    return _brentq(lambda w: w * tanh(w) - c, max(c, math.sqrt(c)), hi, xtol=0.0)[0]
+    return _brentq(lambda w: w * tanh(w) - c, max(c, math.sqrt(c)), hi, xtol=0.0)
 
 
 def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
@@ -303,7 +285,7 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
 
     try:
         c_lo = a4 / (1.0 + k * math.exp(2.0 * _R_END))
-        w_hi = _w_tanh_w_inverse(a4 / (1.0 + k * math.exp(-2.0 * _R_END)))
+        w_hi = _w_tanh_w_inverse(a4 / (1.0 + k * math.exp(-2.0 * _R_END)))[0]
         if not (c_lo > 0.0 and w_hi * math.tanh(w_hi) < a4):
             raise ConvergenceError(f"floats hold no bracket for |r| <= {_R_END}")
         w, iterations = _brentq(reduced, max(c_lo, math.sqrt(c_lo)), w_hi, xtol=0.0)

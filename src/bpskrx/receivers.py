@@ -12,7 +12,8 @@ click decides plus.
 Numerical policy: every formula is arranged so small error probabilities
 come out as sums of nonnegative exponentially small terms (``expm1`` where
 the textbook form would subtract sinh products from 1/2), keeping full
-relative precision down to the underflow floor.
+relative precision down to the underflow floor; a click exponent's gap is
+built from the nulling residual, never as a difference (`_click_result`).
 """
 
 from __future__ import annotations
@@ -94,31 +95,31 @@ def homodyne_limit_attenuated(ensemble: BinaryEnsemble, detector: DetectorModel)
 
 
 def _click_result(
-    tag: str, ensemble: BinaryEnsemble, gamma: float, detector: DetectorModel
+    tag: str, ensemble: BinaryEnsemble, gamma: float, null: float, detector: DetectorModel
 ) -> ReceiverResult:
     """Row ``tag``: error of a displacement receiver with nulling
-    amplitude ``gamma`` under the full detector model.
+    amplitude ``gamma`` under the full detector model, given its nulling
+    residual ``null = gamma - xi sqrt(tau) alpha``.
 
     Exponent bookkeeping: with ``a = eta (tau alpha^2 + gamma^2)`` and
-    ``b = 2 eta xi sqrt(tau) alpha gamma`` (AM-GM gives b <= a),
+    ``b = 2 eta xi sqrt(tau) alpha gamma``,
 
         P = 1/2 [ -expm1(-nu) + exp(-nu) (-expm1(b - a) + exp(-b - a)) ]
 
     which equals ``1/2 - exp(-nu - a) sinh(b)`` but never subtracts two
-    nearly equal halves. Where an exponent overflows (``a = b = inf`` at
-    alpha^2 = 1e308, or a rounded ``b - a`` past 709.78 at alpha^2 = 1e20,
-    tau = 0.5) the call raises UnsupportedConfigurationError.
+    nearly equal halves, and ``a - b = eta [null^2 + tau alpha^2 (1 - xi)(1 +
+    xi)] >= 0`` is a sum of nonnegative terms, so it carries no cancellation
+    either. Where ``a + b`` is not finite (``a = inf`` at alpha^2 = 1e308)
+    the call raises UnsupportedConfigurationError.
     """
     alpha = ensemble.alpha
     eta, nu, tau, xi = detector.eta, detector.nu, detector.tau, detector.xi
     a = eta * (tau * alpha * alpha + gamma * gamma)
-    b = 2.0 * eta * xi * math.sqrt(tau) * alpha * gamma
-    try:
-        twice_p = -math.expm1(-nu) + math.exp(-nu) * (-math.expm1(b - a) + math.exp(-b - a))
-    except OverflowError:
-        twice_p = math.nan
-    if twice_p != twice_p:  # an overflowed expm1, or inf - inf
+    total = a + 2.0 * eta * xi * math.sqrt(tau) * alpha * gamma
+    if not total < math.inf:  # an overflowed square, or 0 * inf
         raise UnsupportedConfigurationError(f"{tag} click probability overflows at alpha={alpha!r}")
+    gap = eta * (null * null + tau * alpha * alpha * (1.0 - xi) * (1.0 + xi))
+    twice_p = -math.expm1(-nu) + math.exp(-nu) * (-math.expm1(-gap) + math.exp(-total))
     return ReceiverResult(tag, 0.5 * twice_p, "analytic", None, None, gamma, detector)
 
 
@@ -134,7 +135,8 @@ def kennedy_error(
     the variant that ignores the attenuation when aiming.
     """
     gamma = math.sqrt(detector.tau) * ensemble.alpha
-    return _click_result(coupled_tag("kennedy", detector), ensemble, gamma, detector)
+    tag = coupled_tag("kennedy", detector)
+    return _click_result(tag, ensemble, gamma, gamma * (1.0 - detector.xi), detector)
 
 
 def kennedy_raw_error(
@@ -145,7 +147,8 @@ def kennedy_raw_error(
     Uses ``gamma = alpha`` regardless of tau, the convention of a receiver
     calibrated before the loss. Coincides with `kennedy_error` at tau = 1.
     """
-    return _click_result("kennedy_raw", ensemble, ensemble.alpha, detector)
+    null = ensemble.alpha * (1.0 - detector.xi * math.sqrt(detector.tau))
+    return _click_result("kennedy_raw", ensemble, ensemble.alpha, null, detector)
 
 
 def type2_error(
@@ -215,13 +218,15 @@ def type2_imperfect_error(
     """Optimized displacement receiver with transmission and mode-match
     imperfections folded in.
 
-    ``gamma_opt`` solves ``xi sqrt(tau) alpha = gamma tanh(2 eta xi alpha
-    gamma)`` and the error is ``1/2 - exp(-nu - eta (tau alpha^2 +
-    gamma^2)) sinh(2 eta xi sqrt(tau) alpha gamma)`` (stable form). At
-    ``tau = xi = 1`` the row is tagged ``type2``.
+    The error is ``1/2 - exp(-nu - a) sinh(b)`` (stable form, see
+    `_click_result`), and ``gamma_opt`` minimizes it: ``xi sqrt(tau) alpha =
+    gamma tanh(b)`` with ``b = 2 eta xi sqrt(tau) alpha gamma``. At ``tau =
+    xi = 1`` the row is tagged ``type2``.
     """
-    gamma = solve_type2_gamma_imperfect(ensemble.alpha, detector).value
-    return _click_result(coupled_tag("type2", detector), ensemble, gamma, detector)
+    alpha, gamma = ensemble.alpha, solve_type2_gamma_imperfect(ensemble.alpha, detector).value
+    e = math.exp(-4.0 * detector.eta * detector.xi * math.sqrt(detector.tau) * alpha * gamma)
+    null = 2.0 * gamma * e / (1.0 + e)  # gamma (1 - tanh b), by the gamma condition
+    return _click_result(coupled_tag("type2", detector), ensemble, gamma, null, detector)
 
 
 class Receiver(NamedTuple):

@@ -126,47 +126,56 @@ def test_sweep_partial_failure_exit_2(tmp_path, monkeypatch, capsys):
     assert [r.receiver for r in rows] == ["helstrom"] * 3
 
 
-@pytest.mark.parametrize("eta, xi", [("1e-200", "1e-200"), ("1e-40", "1")])
-def test_gamma_below_eta_xi_floor_is_a_solver_failure(tmp_path, capsys, eta, xi):
-    """Below eta xi = 1e-30 the gamma solve refuses the input: sweep omits
-    the rows with a warning (exit 2), montecarlo fails (exit 3)."""
-    flags = ["--eta", eta, "--xi", xi, "--points", "3"]
-    rc = cli.main(["sweep", "--receivers", "type2_imperfect", *flags,
-                   "--out", str(tmp_path / "s.csv")])
-    assert rc == 2
-    assert "warning: type2_imperfect at" in capsys.readouterr().err
-    rc = cli.main(["montecarlo", "--trials", "10", *flags, "--out", str(tmp_path / "m.csv")])
-    assert rc == 3
-    assert "eta xi at least 1e-30" in capsys.readouterr().err
-
-
-def test_gamma_root_below_the_bracket_is_a_solver_failure(tmp_path, capsys):
-    """At tau = 1e-50 the gamma root lies below 1e-12: sweep omits every
-    row with a warning and exits 2."""
+@pytest.mark.parametrize("flags, no_information", [
+    (["--eta", "1e-200", "--xi", "1e-200"], True), (["--eta", "1e-40"], True),
+    (["--tau", "1e-50"], False),
+], ids=["eta-xi-1e-400", "eta-1e-40", "tau-1e-50"])
+def test_gamma_inputs_once_refused_give_rows(tmp_path, capsys, flags, no_information):
+    """Below eta xi = 1e-30, and at tau = 1e-50, the bracketed gamma solve
+    refused every point. Each now has its root:
+    sweep writes every row, the no-information 1/2 where eta is that small,
+    and montecarlo runs."""
+    flags = [*flags, "--points", "3"]
     out = tmp_path / "s.csv"
-    rc = cli.main(["sweep", "--receivers", "type2_imperfect", "--tau", "1e-50",
-                   "--points", "3", "--out", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err.count("root below 1e-12") == 3
-    assert read_csv(out)[1] == []
+    assert cli.main(["sweep", "--receivers", "type2_imperfect", *flags, "--out", str(out)]) == 0
+    rows = read_csv(out)[1]
+    assert len(rows) == 3 and all(0.0 <= r.p_error <= 0.5 for r in rows)
+    if no_information:
+        assert {r.p_error for r in rows} == {0.5}
+    assert cli.main(["montecarlo", "--trials", "10", *flags, "--out", str(tmp_path / "m.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_lossy_click_rows_stay_probabilities_at_large_amplitude(tmp_path):
+    """At tau = 0.99 and alpha^2 from 1e16 to 1e17 a rounded b - a of a few
+    hundred once reached expm1 and wrote p_error 0.4998 and -3.9e13. The
+    exponent gap now comes from the nulling residual, and every row is the
+    underflowed 0.0 that the true value rounds to."""
+    out = tmp_path / "s.csv"
+    rc = cli.main(["sweep", "--receivers", "kennedy_imperfect,type2_imperfect", "--tau", "0.99",
+                   "--alpha-sq-min", "1e16", "--alpha-sq-max", "1e17", "--points", "3",
+                   "--out", str(out)])
+    assert rc == 0
+    rows = read_csv(out)[1]
+    assert len(rows) == 6 and all(0.0 <= r.p_error <= 0.5 for r in rows)
 
 
 @pytest.mark.parametrize("argv, expected_rc, message, kept", [
     (["sweep", "--alpha-sq-min", "1e308", "--alpha-sq-max", "1.79e308", "--points", "2",
       "--receivers", "kennedy,type2"], 2, "kennedy click probability overflows", []),
-    (["sweep", "--receivers", "kennedy_imperfect", "--tau", "0.5", "--alpha-sq-min", "1",
-      "--alpha-sq-max", "1e20", "--points", "2"], 2, "at alpha_sq=1e+20: kennedy_imperfect",
-     [1.0]),
+    (["sweep", "--receivers", "helstrom,kennedy_imperfect", "--tau", "0.5", "--alpha-sq-min",
+      "1", "--alpha-sq-max", "1e20", "--points", "2"], 0, "", [1.0, 1.0, 1e20, 1e20]),
     (["montecarlo", "--points", "2", "--trials", "10", "--alpha-sq-max", "1e308"], 3,
      "mean intensity overflows", None),
 ], ids=["sweep-1e308", "sweep-kennedy-imperfect-1e20", "montecarlo-1e308"])
 def test_overflow_at_the_top_of_the_float_range(
     tmp_path, capsys, argv, expected_rc, message, kept
 ):
-    """Where a click probability's exponents overflow (a NaN from inf - inf
-    at alpha^2 = 1e308, an OverflowError from expm1 or a square) the point
-    is a solver failure: sweep omits it (exit 2) and writes no NaN,
-    montecarlo exits 3."""
+    """Where a click probability's exponents overflow (a + b = inf at
+    alpha^2 = 1e308, or an overflowed square) the point is a solver failure:
+    sweep omits it (exit 2) and writes no NaN, montecarlo exits 3. At
+    alpha^2 = 1e20, tau = 0.5 nothing overflows: kennedy_imperfect's exponent
+    gap is 0 and its row is the underflowed 0.0 that helstrom also gives."""
     out = tmp_path / "out.csv"
     assert cli.main([*argv, "--out", str(out)]) == expected_rc
     assert message in capsys.readouterr().err
@@ -174,6 +183,7 @@ def test_overflow_at_the_top_of_the_float_range(
         _, rows = read_csv(out)
         assert [r.alpha_sq for r in rows] == kept
         assert all(math.isfinite(r.p_error) for r in rows)
+        assert all(r.p_error == 0.0 for r in rows if r.alpha_sq == 1e20)
 
 
 def test_sweep_type1_at_alpha_zero_is_omitted(tmp_path, capsys):

@@ -86,12 +86,14 @@ def test_type2_imperfect_reduces_bitwise_at_ideal_coupling():
 def test_type2_imperfect_frozen():
     det = DetectorModel(eta=0.9, nu=1e-3, tau=0.99, xi=0.995)
     got = solve_type2_gamma_imperfect(math.sqrt(0.5), det).value
-    assert abs(got - 0.8725512174767196) < 1e-14
+    # a 60-digit solve; the condition without sqrt(tau) in the tanh gave 0.8725512174767196
+    assert got == pytest.approx(0.873997947879275974, rel=1e-15, abs=0.0)
 
 
 def test_type2_imperfect_zero_alpha_limit():
     det = DetectorModel(eta=0.8, tau=0.81)
-    want = math.sqrt(math.sqrt(0.81) / (2 * 0.8))
+    # gamma tanh(2 eta xi sqrt(tau) alpha gamma) -> 2 eta xi sqrt(tau) alpha gamma^2
+    want = 1.0 / math.sqrt(2 * 0.8)
     assert abs(solve_type2_gamma_imperfect(0.0, det).value - want) < 1e-12
 
 
@@ -100,48 +102,99 @@ def test_type2_imperfect_rejects_dead_detector():
         solve_type2_gamma_imperfect(0.5, DetectorModel(eta=0.0))
 
 
+def _mp_gamma(alpha, eta, tau, xi):
+    """80-digit root of the gamma condition, as u / sqrt(2 eta) with
+    u tanh(u s) = s, s^2 = c = 2 eta xi^2 tau alpha^2 (u = 1 at c = 0)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        a, e, t, x = map(mp.mpf, (alpha, eta, tau, xi))
+        s = x * mp.sqrt(2 * e * t) * a
+        u = 1 if s == 0 else mp.findroot(
+            lambda u: u * mp.tanh(u * s) / s - 1, 1 if s < 1 else s, tol=mp.mpf(10) ** -70
+        )
+        return u / mp.sqrt(2 * e)
+
+
+def _relative_error(got, want):
+    return float(abs(got / want - 1))
+
+
 def test_gamma_solves_its_whole_domain():
-    """alpha^2 in [1e-300, 1e300] x eta, xi in [1e-15, 1] with eta xi >= 1e-30
-    x tau: the upper end is always a bracket (no same-sign ConvergenceError),
-    and the gate relative to the target accepts every root (an absolute 1e-12
-    rejected 26, at alpha^2 = 1e20; the worst residual is 4.3e-15 T)."""
+    """alpha^2 in [1e-300, 1e300] x eta, xi in [1e-15, 1] x tau down to 1e-60:
+    every input returns a finite root whose residual |w tanh w - c| is within
+    rounding of c = 2 eta xi^2 tau alpha^2. Before the shared inversion,
+    eta xi < 1e-30 was refused and small c failed Brent's bisection."""
     decades = [10.0**e for e in range(-15, 1, 3)]
-    grid = itertools.product(range(-300, 301, 20), decades, decades, (1e-3, 0.5, 0.99, 1.0))
+    grid = itertools.product(range(-300, 301, 20), decades, decades, (1e-60, 1e-3, 0.5, 1.0))
     n = 0
     for a2_exp, eta, xi, tau in grid:
-        if eta * xi >= 1e-30:
-            alpha = math.sqrt(10.0**a2_exp)
-            res = _solve_gamma(alpha, eta, tau, xi)
-            assert res.residual < 1e-12 * xi * math.sqrt(tau) * alpha
-            n += 1
-    assert n == 4464
+        alpha = math.sqrt(10.0**a2_exp)
+        res = _solve_gamma(alpha, eta, tau, xi)
+        c = 2.0 * eta * xi * xi * tau * alpha * alpha
+        assert 0.0 < res.value < math.inf
+        assert res.residual <= 1e-15 * c
+        n += 1
+    assert n == 31 * 6 * 6 * 4
+
+
+def test_gamma_matches_an_80_digit_root():
+    """Seeded draws over alpha^2 in [1e-300, 1e300], eta in [1e-3, 1], xi down
+    to 1e-15 and tau down to 1e-60 (worst seen 3.2e-16 on 3,000 draws; the
+    bracketed Brent solve it replaced raised on about a third of them)."""
+    rng = np.random.default_rng(20261020)
+    worst = 0.0
+    for _ in range(300):
+        a2, eta, xi, tau = 10.0 ** rng.uniform([-300, -3, -15, -60], [300, 0, 0, 0])
+        alpha = math.sqrt(a2)
+        got = _solve_gamma(alpha, eta, tau, xi).value
+        worst = max(worst, _relative_error(got, _mp_gamma(alpha, eta, tau, xi)))
+    assert worst <= 1e-15
 
 
 def test_gamma_gate_scales_with_the_target():
-    """At alpha^2 = 1.8e31 one ulp of the target is 0.5, the residual of the
-    root; an absolute 1e-12 gate rejected it."""
-    res = _solve_gamma(math.sqrt(1.797195868616573e31), 0.9008609348173033, 1.0, 1.0)
-    assert res.value == 4239334698530622.5 and res.residual == 0.5
+    """At alpha^2 = 1.8e31 the tanh saturates (c > 20), so the root is the
+    target xi sqrt(tau) alpha itself, with residual 0; the bracketed Brent
+    solve stopped one ulp (0.5) below it."""
+    alpha = math.sqrt(1.797195868616573e31)
+    res = _solve_gamma(alpha, 0.9008609348173033, 1.0, 1.0)
+    assert res.value == alpha == 4239334698530623.0 and res.residual == 0.0
 
 
-def test_gamma_gate_rejects_an_imprecise_small_target_root():
-    """At tau = 1e-20 the target is 1e-10 and the root 7.0710678121e-6 (50
-    digits); Brent's absolute 1e-15 leaves it 2.6e-11 relative off, which a
-    gate of 1e-12 max(1, T) accepted and one of 1e-12 T refuses."""
-    with pytest.raises(ConvergenceError, match="gamma residual") as info:
-        _solve_gamma(1.0, 1.0, 1e-20, 1.0)
-    assert abs(info.value.best / 7.071067812101178e-06 - 1.0) > 2e-11
+@pytest.mark.parametrize(
+    "alpha, eta, tau, xi",
+    [
+        (0.5, 1e-200, 1.0, 1e-200),  # 2 eta xi underflows
+        (0.5, 1e-40, 1.0, 1.0),  # below the old eta xi floor of 1e-30
+        (0.5, 1.0, 1e-50, 1.0),  # refused: f(1e-12) > 0
+        (1.0, 1.0, 1e-20, 1.0),  # refused: Brent's absolute 1e-15 missed the residual gate
+        (0.5, 1.0, 1e-40, 1.0),  # refused by the residual gate
+        (3.857150886539509e-248, 0.00279, 1.0, 2.09e-25),  # Brent ran out of steps
+    ],
+    ids=["eta-xi-underflow", "eta-below-floor", "root-below-bracket", "small-target",
+         "tiny-tau", "tiny-alpha-and-xi"],
+)
+def test_gamma_returns_roots_it_once_refused(alpha, eta, tau, xi):
+    """Inputs the bracketed Brent solve refused or failed on now return their
+    root to double precision."""
+    res = _solve_gamma(alpha, eta, tau, xi)
+    assert _relative_error(res.value, _mp_gamma(alpha, eta, tau, xi)) <= 1e-15
+
+
+def test_gamma_found_inputs_are_pinned():
+    # at c = 5e-41 the root is 1/sqrt(2) to a double
+    assert _solve_gamma(0.5, 1.0, 1e-40, 1.0).value == 0.7071067811865475
+    tiny = _solve_gamma(3.857150886539509e-248, 0.00279, 1.0, 2.09e-25)
+    assert tiny.value == 13.386988815041647  # 1/sqrt(2 eta): c, about 4e-546, underflows to 0
 
 
 def test_gamma_solves_beside_a_root_below_the_lower_end():
-    """At tau = 1e-50 the root of alpha = 0.5 lies below 1e-12 and is refused
-    (`test_solver_input_guards`); larger amplitudes, with f(1e-12) = 0 and
-    f(1e-12) < 0, still return their roots."""
-    res = _solve_gamma(1e13, 1.0, 1e-50, 1.0)
-    assert (res.value, res.residual, res.iterations) == (1e-12, 0.0, 0)
-    res = _solve_gamma(1e20, 1.0, 1e-50, 1.0)
-    assert res.value == float.fromhex("0x1.4f8b588e368f0p-17")
-    assert res.residual == 2.0**-69 and res.iterations == 3
+    """At tau = 1e-50, where the bracketed Brent solve found the root of alpha
+    = 0.5 below its lower end 1e-12, larger amplitudes return their root, in
+    closed form at small c and by the shared inversion at larger c."""
+    for alpha, iterations in ((1e13, 0), (1e20, 3), (1e30, 0)):
+        res = _solve_gamma(alpha, 1.0, 1e-50, 1.0)
+        assert res.iterations == iterations
+        assert _relative_error(res.value, _mp_gamma(alpha, 1.0, 1e-50, 1.0)) <= 1e-15
 
 
 def test_type1_gate_scales_with_the_terms():
@@ -186,15 +239,6 @@ def test_type1_damped_newton_step():
         (lambda: solve_type1_params(0.0, 1.0), ValueError, "alpha must be > 0"),
         (lambda: solve_type1_params(-0.5, 1.0), ValueError, "alpha must be > 0"),
         (lambda: solve_type2_gamma(-0.5), ValueError, "alpha must be >= 0"),
-        # below eta xi = 1e-30 the gamma bracket loses its margin; 2 eta xi
-        # underflows to 0 at (1e-200, 1e-200)
-        (lambda: solve_type2_gamma_imperfect(0.5, DetectorModel(eta=1e-200, xi=1e-200)),
-         UnsupportedConfigurationError, "eta xi at least 1e-30"),
-        (lambda: solve_type2_gamma(0.5, 1e-40), UnsupportedConfigurationError,
-         "eta xi at least 1e-30"),
-        # f(1e-12) > 0: the root lies below the lower end, refused before any solve
-        (lambda: solve_type2_gamma_imperfect(0.5, DetectorModel(1.0, 0.0, 1e-50, 1.0)),
-         UnsupportedConfigurationError, "root below 1e-12"),
         (lambda: verify_gaussian_optimum(BinaryEnsemble(0.5), [], [0.0]), ValueError, "nonempty"),
         (lambda: verify_gaussian_optimum(BinaryEnsemble(0.5), [1.0], []), ValueError, "nonempty"),
         # a float overflow is a typed error naming the amplitudes
@@ -206,8 +250,7 @@ def test_type1_damped_newton_step():
          r"overflows at alpha=0.5, beta=0.5, r=-400.0"),
     ],
     ids=["type1-eta0", "type1-eta-neg", "type1-eta-above-1", "type1-alpha0", "type1-alpha-neg",
-         "type2-alpha-neg", "type2-eta-xi-underflow", "type2-eta-below-floor",
-         "type2-root-below-bracket", "landscape-no-r",
+         "type2-alpha-neg", "landscape-no-r",
          "landscape-no-phi", "dse-overflow-plus", "dse-overflow-minus", "dse-overflow-squeeze"],
 )
 def test_solver_input_guards(call, exc, match):

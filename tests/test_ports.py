@@ -3,8 +3,9 @@
 `optimize._erfc` against ``scipy.special.erfc`` and `optimize._brentq`
 against ``scipy.optimize.brentq``, compared with ``==``: the ports replace
 the scipy calls on the analytic path, so any difference would move the
-printed curves. `_brentq` is pinned at the absolute tolerance of the gamma
-solve and at the relative-only tolerance (``xtol = 0``) of the type1 solve.
+printed curves. `_brentq` is pinned at its default absolute tolerance and at
+the relative-only tolerance (``xtol = 0``) of the w tanh w = c inversion and
+the type1 solve.
 """
 
 import itertools

@@ -1,9 +1,12 @@
 """Error-probability formulas for each receiver and their orderings."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from bpskrx.core import (
@@ -92,14 +95,18 @@ def test_type2_frozen():
     assert res.p_error == pytest.approx(0.13480570157214394, abs=1e-16)
     res1 = type2_error(BinaryEnsemble(1.0))
     assert res1.gamma_opt == pytest.approx(1.0326690694873524, abs=1e-14)
-    assert res1.p_error == pytest.approx(0.008560780393629959, abs=1e-17)
+    # a 60-digit solve; the b - a cancellation once left 0.008560780393629959,
+    # 1.6e-14 relative off, and the nulling-residual gap is 2e-16 off
+    assert res1.p_error == pytest.approx(0.0085607803936300926, rel=1e-15, abs=0.0)
 
 
 def test_type2_imperfect_frozen_and_reduction():
     res = type2_imperfect_error(BinaryEnsemble(math.sqrt(0.5)), FIG4_DETECTOR)
     assert res.receiver == "type2_imperfect"
-    assert res.p_error == pytest.approx(0.06955638206975191, abs=1e-16)
-    assert res.gamma_opt == pytest.approx(0.8725512174767196, abs=1e-14)
+    # a 60-digit evaluation at the 60-digit optimum; the gamma condition without
+    # sqrt(tau) in the tanh gave 0.06955638206975191 at gamma = 0.8725512174767196
+    assert res.p_error == pytest.approx(0.0695551709950816557, rel=1e-15, abs=0.0)
+    assert res.gamma_opt == pytest.approx(0.873997947879275974, rel=1e-15, abs=0.0)
     # ideal coupling: identical floating-point path as the clean variant
     det = DetectorModel(eta=0.9, nu=1e-3)
     a = type2_imperfect_error(BinaryEnsemble(0.7), det)
@@ -131,6 +138,53 @@ def test_receiver_ordering_chain():
         assert t1 <= t2 + slack, alpha_sq
         assert t2 <= k + slack, alpha_sq
         assert t2 < hom, alpha_sq
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(log10_alpha_sq=st.floats(min_value=-6.0, max_value=math.log10(60.0)), eta=_UNIT,
+       nu=st.floats(min_value=0.0, max_value=10.0), tau=_UNIT, xi=_UNIT)
+def test_lossy_click_ordering_over_the_cli_domain(log10_alpha_sq, eta, nu, tau, xi):
+    """Over alpha^2 in [1e-6, 60] and every (eta, nu, tau, xi) the CLI
+    accepts, helstrom <= type2_imperfect <= kennedy_imperfect to 1e-9
+    relative. A zero eta, tau or xi, which has no gamma root, and an eta below
+    the normal range, where gamma^2 ~ 1/(2 eta) overflows, are typed errors."""
+    ens, det = BinaryEnsemble(math.sqrt(10.0**log10_alpha_sq)), DetectorModel(eta, nu, tau, xi)
+    try:
+        t2 = type2_imperfect_error(ens, det).p_error
+    except UnsupportedConfigurationError:
+        assert 0.0 in (tau, xi) or eta < sys.float_info.min
+        return
+    k = kennedy_error(ens, det).p_error
+    assert helstrom(ens) <= t2 * (1.0 + 1e-9) and t2 <= k * (1.0 + 1e-9)
+    assert 0.0 <= t2 <= 0.5
+
+
+def _mp_type2_error(alpha, eta, nu):
+    """80-digit type2 error at its 80-digit optimal gamma."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        a, e, n = map(mp.mpf, (alpha, eta, nu))
+        s = a * mp.sqrt(2 * e)  # y tanh y = s^2, y = s u
+        u = mp.findroot(lambda u: u * mp.tanh(u * s) / s - 1, 1 if s < 1 else s)
+        g = u / mp.sqrt(2 * e)
+        return (1 - mp.exp(-n - e * (a * a + g * g)) * 2 * mp.sinh(2 * e * a * g)) / 2
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(log10_alpha_sq=st.floats(min_value=-6.0, max_value=math.log10(60.0)),
+       eta=st.floats(min_value=1e-3, max_value=1.0), nu=st.floats(min_value=0.0, max_value=10.0))
+def test_type2_matches_mpmath(log10_alpha_sq, eta, nu):
+    """type2 to 1e-13 relative of an 80-digit evaluation. The b - a
+    cancellation this replaced was 8.4e-6 off on the golden sweeps; what is
+    left is the rounding of the exponent a + b, up to about 4 eta alpha^2,
+    that exp amplifies."""
+    alpha = math.sqrt(10.0**log10_alpha_sq)
+    got = type2_error(BinaryEnsemble(alpha), DetectorModel(eta, nu)).p_error
+    want = _mp_type2_error(alpha, eta, nu)
+    assert float(abs(got / want - 1)) <= 1e-13
 
 
 def test_errors_decrease_with_amplitude():
