@@ -1,11 +1,15 @@
 """Multimode Gaussian-state algebra.
 
 Covariance-matrix representation of Gaussian states, symplectic transforms,
-and partial Gaussian measurements with conditional outputs, on numpy. A
+and partial Gaussian measurements with conditional outputs, on numpy alone. A
 Gaussian measurement is named by its seed state: a `GaussianState` whose
 covariance is the measurement covariance and whose displacement is the
 observed outcome. The scalar sharpness factor and Bayes error of a
 single-mode measurement live in `optimize`.
+
+Records are named tuples, as in `core`. `GaussianState` and `SymplecticOp`
+check their values in ``__new__`` and hold read-only arrays: build them
+through the class, never with ``_make`` or ``_replace``, which skip the check.
 
 Conventions (fixed throughout the package):
 
@@ -19,7 +23,8 @@ Conventions (fixed throughout the package):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,16 +84,17 @@ def _block_diag(blocks) -> np.ndarray:
 
 
 def _finite(a, what: str) -> np.ndarray:
-    """Float copy of ``a``, checked to hold no NaN or infinity; ``what``
-    names it in the error."""
+    """Read-only float copy of ``a``, checked to hold no NaN or infinity;
+    ``what`` names it in the error."""
     a = np.array(a, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has a non-finite entry")
+    a.setflags(write=False)
     return a
 
 
 def _checked_cov(cov, what: str) -> np.ndarray:
-    """Finite float copy of a covariance, checked to be 2n x 2n, symmetric
+    """Finite read-only copy of a covariance, checked to be 2n x 2n, symmetric
     within 1e-12 and to satisfy cov + i*Omega >= 0: eigenvalues above -1e-10
     times its largest |entry|, or times 1 if that is larger. ``what`` names
     it in errors."""
@@ -105,15 +111,7 @@ def _checked_cov(cov, what: str) -> np.ndarray:
     return cov
 
 
-def _freeze(obj, **arrays: np.ndarray) -> None:
-    """Store read-only arrays as the fields of a frozen dataclass."""
-    for name, a in arrays.items():
-        a.setflags(write=False)
-        object.__setattr__(obj, name, a)
-
-
-@dataclass(frozen=True)
-class GaussianState:
+class GaussianState(namedtuple("GaussianState", "cov disp")):
     """Gaussian state: covariance matrix plus displacement vector.
 
     Parameters
@@ -124,19 +122,17 @@ class GaussianState:
         Mean quadrature vector.
     """
 
-    cov: np.ndarray
-    disp: np.ndarray
-
+    __slots__ = ()
     _role = "state"  # names the covariance in errors
 
-    def __post_init__(self):
-        cov = _checked_cov(self.cov, f"{self._role} covariance")
-        disp = _finite(self.disp, "displacement")
+    def __new__(cls, cov, disp):
+        cov = _checked_cov(cov, f"{cls._role} covariance")
+        disp = _finite(disp, "displacement")
         if disp.shape != (cov.shape[0],):
             raise DimensionMismatchError(
                 f"displacement shape {disp.shape} does not match covariance {cov.shape}"
             )
-        _freeze(self, cov=cov, disp=disp)
+        return tuple.__new__(cls, (cov, disp))
 
     @property
     def n_modes(self) -> int:
@@ -162,20 +158,19 @@ def tensor(*states: GaussianState) -> GaussianState:
     return GaussianState(cov, disp)
 
 
-@dataclass(frozen=True)
-class SymplecticOp:
+class SymplecticOp(namedtuple("SymplecticOp", "matrix")):
     """Gaussian unitary in phase space: ``z -> S z``."""
 
-    matrix: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        s = _finite(self.matrix, "symplectic matrix")
+    def __new__(cls, matrix):
+        s = _finite(matrix, "symplectic matrix")
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
             raise DimensionMismatchError(f"symplectic matrix shape {s.shape}")
         omega = symplectic_form(s.shape[0] // 2)
         if np.abs(s @ omega @ s.T - omega).max() > 1e-10:
             raise ValueError("matrix is not symplectic within 1e-10")
-        _freeze(self, matrix=s)
+        return tuple.__new__(cls, (s,))
 
     @property
     def n_modes(self) -> int:
@@ -261,6 +256,7 @@ class GaussianMeasurementSpec(GaussianState):
     """A Gaussian measurement on K modes, named by its seed state: ``cov`` is
     the measurement covariance and ``disp`` the observed outcome (length 2K)."""
 
+    __slots__ = ()
     _role = "measurement"
 
     @classmethod
@@ -298,9 +294,10 @@ def _schur(g: np.ndarray, na: int, shift: np.ndarray, rhs: np.ndarray, what: str
     * ``M^{-1} rhs`` for the trailing-length columns of ``rhs``,
     * ``log det M``.
 
-    ``M`` is checked against ``COND_LIMIT`` once and factored once
-    (Cholesky), whatever the number of right-hand sides. An empty trailing
-    block conditions on nothing: ``A``, an empty gain and ``log det = 0``.
+    ``M`` is checked against ``COND_LIMIT`` once, its Cholesky factor gives
+    positive definiteness and ``log det M``, and one solve takes every
+    right-hand side at once. An empty trailing block conditions on nothing:
+    ``A``, an empty gain and ``log det = 0``.
 
     Raises
     ------
@@ -308,7 +305,6 @@ def _schur(g: np.ndarray, na: int, shift: np.ndarray, rhs: np.ndarray, what: str
         If ``M`` is ill-conditioned or not positive definite; ``what`` names
         ``M`` in the message.
     """
-    from scipy.linalg import cho_factor, cho_solve
     a, c = g[:na, :na], g[:na, na:]
     m = g[na:, na:] + shift
     if m.size == 0:
@@ -317,17 +313,16 @@ def _schur(g: np.ndarray, na: int, shift: np.ndarray, rhs: np.ndarray, what: str
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrixError(f"{what} is numerically singular", float(cond))
     try:
-        factor = cho_factor(m)
+        low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise SingularMatrixError(f"{what} is not positive definite", math.inf) from None
-    x = cho_solve(factor, np.column_stack([c.T, rhs]))
+    x = np.linalg.solve(m, np.column_stack([c.T, rhs]))
     gain, solved = x[:, : c.shape[0]], x[:, c.shape[0] :]
     out = a - c @ gain
-    return 0.5 * (out + out.T), gain, solved, 2.0 * float(np.log(np.diag(factor[0])).sum())
+    return 0.5 * (out + out.T), gain, solved, 2.0 * float(np.log(np.diag(low)).sum())
 
 
-@dataclass(frozen=True)
-class ConditionedState:
+class ConditionedState(NamedTuple):
     """One conditional branch: output covariance, displacement, and the
     normalized outcome density (integrates to 1 over the outcome vector)."""
 
@@ -373,8 +368,7 @@ def condition_on_partial_measurement(
     return ConditionedState(cov_out, disp_out, math.exp(log_density))
 
 
-@dataclass(frozen=True)
-class ConditionalOutput:
+class ConditionalOutput(NamedTuple):
     """Both conditional branches of the binary ensemble after a Gaussian
     operation with a partial measurement.
 
@@ -432,8 +426,8 @@ def binary_conditional_output(
 
     # the covariance is checked once; the minus branch shares the checked array
     state_plus = GaussianState(cov, disp_offset + disp_signal)
-    state_minus = object.__new__(GaussianState)
-    _freeze(state_minus, cov=state_plus.cov, disp=_finite(disp_offset - disp_signal, "displacement"))
+    disp_minus = _finite(disp_offset - disp_signal, "displacement")
+    state_minus = tuple.__new__(GaussianState, (state_plus.cov, disp_minus))
     return ConditionalOutput(
         state_plus=state_plus,
         state_minus=state_minus,
@@ -451,23 +445,26 @@ def pure_normal_form(cov: np.ndarray) -> SymplecticOp:
     For a pure Gaussian covariance ``Gamma = S S^T`` the inverse symmetric
     square root ``Gamma^{-1/2}`` is the inverse of the symplectic polar
     factor of ``S``, hence itself symplectic, and satisfies
-    ``S_D Gamma S_D^T = I`` by construction. Computed by eigendecomposition,
-    so the output is deterministic.
+    ``S_D Gamma S_D^T = I`` by construction. Computed from the singular
+    value decomposition of the positive definite ``Gamma``, which is its
+    eigendecomposition, so the output is deterministic.
 
     Raises
     ------
+    ValueError
+        If ``cov`` fails the checks of a state covariance (`GaussianState`).
     NotPureError
         If any symplectic eigenvalue of ``cov`` deviates from 1 by more
         than 1e-6 (the offending eigenvalue is reported).
     """
-    from scipy.linalg import eigh
-    cov = np.asarray(cov, dtype=float)
+    cov = _checked_cov(cov, "covariance")
     # moduli of the eigenvalues of Omega cov: each symplectic eigenvalue twice
     nus = np.abs(np.linalg.eigvals(symplectic_form(len(cov) // 2) @ cov))
     worst = nus[np.argmax(np.abs(nus - 1.0))]
     if abs(worst - 1.0) > 1e-6:
         raise NotPureError(float(worst))
-    w, v = eigh(cov)
+    # not np.linalg.eigh: its syevd vectors fail the 1e-10 check about twice as often
+    v, w, _ = np.linalg.svd(cov)
     s_d = (v / np.sqrt(w)) @ v.T
     s_d = 0.5 * (s_d + s_d.T)
     return SymplecticOp(s_d)

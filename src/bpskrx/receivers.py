@@ -159,8 +159,10 @@ def type2_error(
     ``gamma_opt`` solves ``alpha = gamma tanh(2 eta alpha gamma)``; the
     error is ``1/2 - exp(-nu - eta (alpha^2 + gamma^2)) sinh(2 eta alpha
     gamma)`` in its stable arrangement. Always at or below the
-    non-optimized receiver and strictly below the homodyne limit. This is
-    the ideal-coupling case of `type2_imperfect_error`.
+    non-optimized receiver. Strictly below the homodyne limit at an ideal
+    detector (eta = 1, nu = 0), but not at every efficiency: at alpha^2 = 1,
+    eta = 0.5 it gives 0.0544 against 0.0228. The ideal-coupling case of
+    `type2_imperfect_error`.
     """
     _require("the optimized displacement receiver", detector)
     return type2_imperfect_error(ensemble, detector)

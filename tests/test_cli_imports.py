@@ -13,6 +13,7 @@ deterministic. The package itself re-exports nothing: each name is imported
 from the module that defines it, as the README's quick start does.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -142,20 +143,27 @@ def test_readme_quick_start_runs(capsys):
 GAUSSIAN_CHILD = """
 import json, sys
 import numpy as np
+from bpskrx.core import BinaryEnsemble
 from bpskrx.gaussian import (
-    GaussianMeasurementSpec, random_symplectic, symplectic_form, tensor, vacuum,
+    GaussianMeasurementSpec, apply_gaussian_unitary, binary_conditional_output,
+    condition_on_partial_measurement, pure_normal_form, random_symplectic,
+    symplectic_form, tensor, vacuum,
 )
-random_symplectic(4, np.random.default_rng(7))
+op = random_symplectic(4, np.random.default_rng(7))
 tensor(vacuum(1), vacuum(2))
-GaussianMeasurementSpec.homodyne_stack([0.5, 1.0], [0.0, 0.3])
+meas = GaussianMeasurementSpec.homodyne_stack([0.5, 1.0], [0.0, 0.3], [0.2, -0.1, 0.4, 0.3])
 symplectic_form(3)
+condition_on_partial_measurement(apply_gaussian_unitary(vacuum(4), op), 2, meas)
+out = binary_conditional_output(BinaryEnsemble(0.8), op, meas)
+pure_normal_form(out.shared_cov)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_gaussian_construction_never_imports_scipy():
-    """Building circuits, direct sums and measurement stacks stays on numpy;
-    scipy.linalg is for the Cholesky and eigh steps only."""
+def test_gaussian_layer_never_imports_scipy():
+    """The whole Gaussian layer runs on numpy alone: building circuits,
+    direct sums and measurement stacks, conditioning (Cholesky and solve)
+    and the normal form (SVD) load no scipy module."""
     assert _run_child([], GAUSSIAN_CHILD) == []
 
 
@@ -172,3 +180,18 @@ def test_fock_oracle_never_imports_scipy():
     """The number-basis oracle evolves on numpy slices: neither the adaptive
     search nor a fixed truncation loads scipy."""
     assert _run_child([], FOCK_CHILD) == []
+
+
+@pytest.mark.parametrize("module", _module_names())
+def test_module_imports_neither_scipy_nor_dataclasses(module):
+    """The runtime needs numpy only, and every record is a named tuple: no
+    module of the package imports scipy or ``dataclasses``, at its top or
+    inside a function. scipy stays a test reference."""
+    tree = ast.parse((Path(bpskrx.__file__).parent / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert not imported & {"scipy", "dataclasses"}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cho_factor, cho_solve, eigh
 
 from bpskrx import gaussian
 from bpskrx.core import (
@@ -19,6 +19,7 @@ from bpskrx.gaussian import (
     GaussianState,
     SymplecticOp,
     _block_diag,
+    _schur,
     apply_gaussian_unitary,
     beamsplitter,
     binary_conditional_output,
@@ -276,6 +277,30 @@ def test_condition_singular_guard():
         condition_on_partial_measurement(st, 1, bad)
 
 
+def test_schur_matches_scipy_cholesky():
+    """On 300 seeded circuits the gain, the solved columns and ``log det M``
+    match scipy's ``cho_factor``/``cho_solve`` to 1e-12 relative, or to
+    4 eps cond(M) where that is larger: two backward-stable solves differ
+    by about eps cond(M), and cond(M) reaches 1e6 on these circuits."""
+    rng = np.random.default_rng(20261020)
+    for _ in range(300):
+        m = 2 + int(rng.integers(3))
+        s = random_symplectic(m, rng).matrix
+        g = s @ s.T
+        g = 0.5 * (g + g.T)
+        k = 1 + int(rng.integers(m - 1))
+        meas = GaussianMeasurementSpec.homodyne_stack(rng.uniform(0.0, 2.0, k), rng.uniform(0.0, 2 * math.pi, k))
+        na, rhs = 2 * (m - k), rng.normal(size=(2 * k, 2))
+        _, gain, solved, logdet = _schur(g, na, meas.cov, rhs, "M")
+        mat = g[na:, na:] + meas.cov
+        factor = cho_factor(mat)
+        tol = max(1e-12, 4 * np.finfo(float).eps * np.linalg.cond(mat))
+        for got, ref in ((gain, cho_solve(factor, g[:na, na:].T)), (solved, cho_solve(factor, rhs))):
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+        ref_logdet = 2.0 * np.log(np.diag(factor[0])).sum()
+        assert abs(logdet - ref_logdet) <= 1e-12 * max(1.0, abs(ref_logdet))
+
+
 def test_binary_output_shares_covariance_object_level(monkeypatch):
     """Both branches and ``shared_cov`` hold one read-only covariance, which
     is checked once per call."""
@@ -337,6 +362,23 @@ def test_pure_normal_form_rejects_mixed():
     assert abs(err.value.eigenvalue - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "cov, error, match",
+    [
+        (-np.eye(2), ValueError, "uncertainty relation"),
+        ([[2.0, 1.0], [0.0, 0.5]], ValueError, "not symmetric"),
+        ([[math.nan, 0.0], [0.0, 1.0]], ValueError, "non-finite"),
+        (np.eye(3), DimensionMismatchError, "not 2n x 2n"),
+    ],
+    ids=["negative", "asymmetric", "nan", "odd"],
+)
+def test_pure_normal_form_rejects_what_is_no_covariance(cov, error, match):
+    """The SVD sees only |eigenvalues|, so an input that is no state
+    covariance is refused up front; -I would otherwise map to I."""
+    with pytest.raises(error, match=match):
+        pure_normal_form(cov)
+
+
 def test_pure_normal_form_population():
     """500 random pure covariances: S_D Gamma S_D^T returns to the identity."""
     rng = np.random.default_rng(20260814)
@@ -356,6 +398,36 @@ def test_pure_normal_form_population():
         worst = max(worst, np.abs(sd.matrix @ cov @ sd.matrix.T - np.eye(2 * n)).max())
     assert used > 400
     assert worst < 1e-9
+
+
+def test_pure_normal_form_refuses_no_more_than_scipy_eigh():
+    """On 1,500 circuits drawn as the benchmark's oracle draws them, the
+    normal form refuses no more output covariances as not symplectic than
+    the same construction from scipy's ``eigh``. numpy's ``eigh`` (LAPACK
+    syevd) refuses more on these draws."""
+    omega = {n: symplectic_form(n) for n in (1, 2, 3)}
+    ours = ref = 0
+    for seed in range(500):
+        for m in (2, 3, 4):
+            rng = np.random.default_rng([7919 * seed + 13, m])
+            op = random_symplectic(m, rng)
+            k = 1 + int(rng.integers(m - 1))
+            meas = GaussianMeasurementSpec.homodyne_stack(
+                rng.uniform(0.0, 2.0, k), rng.uniform(0.0, 2 * math.pi, k), rng.normal(size=2 * k)
+            )
+            cov = binary_conditional_output(BinaryEnsemble(float(rng.uniform(0.1, 1.5))), op, meas).shared_cov
+            try:
+                pure_normal_form(cov)
+            except NotPureError:
+                continue
+            except ValueError as exc:
+                assert "not symplectic" in str(exc)
+                ours += 1
+            w, v = eigh(cov)
+            s_d = (v / np.sqrt(w)) @ v.T
+            s_d = 0.5 * (s_d + s_d.T)
+            ref += np.abs(s_d @ omega[m - k] @ s_d.T - omega[m - k]).max() > 1e-10
+    assert ours <= ref
 
 
 def test_pure_normal_form_deterministic():

@@ -6,9 +6,10 @@ the SVG fails here. Two runs of the
 same code agreeing (the rerun tests in `test_cli`) cannot catch that.
 
 The digests assume the float behaviour of the platform they were captured on
-(x86-64, CPython 3.11, numpy 2.4, scipy 1.17); they depend neither on the
-OpenBLAS kernel nor on which SIMD loops numpy dispatches to, which a second
-test checks by running the CLI with each switched. Regenerate them only for a
+(x86-64, CPython 3.11, numpy 2.4); no CLI byte goes through scipy. They
+depend neither on the OpenBLAS kernel nor on which SIMD loops numpy
+dispatches to, which a second test checks by running the CLI with each
+switched. Regenerate them only for a
 change that is meant to alter output, and say so in the change log:
 
     python tests/test_golden.py OUTDIR

@@ -1,15 +1,27 @@
 """The value records are immutable named tuples, validated on construction.
 
-For each record of `core`, `optimize` and `montecarlo`: its fields keep their
-names and order, a field cannot be assigned, an instance has no ``__dict__``
-(a subclass without ``__slots__ = ()`` would grow one), and a record with a
-check refuses a bad value with the same message whether it is passed by
-position or by keyword.
+For each record of `core`, `optimize`, `montecarlo` and `gaussian`: its
+fields keep their names and order, a field cannot be assigned, an instance
+has no ``__dict__`` (a subclass without ``__slots__ = ()`` would grow one),
+and a record with a check refuses a bad value with the same message whether
+it is passed by position or by keyword.
 """
 
 import pytest
 
 from bpskrx.core import BinaryEnsemble, DetectorModel, ReceiverResult
+from bpskrx.gaussian import (
+    ConditionalOutput,
+    ConditionedState,
+    GaussianMeasurementSpec,
+    GaussianState,
+    SymplecticOp,
+    beamsplitter,
+    binary_conditional_output,
+    condition_on_partial_measurement,
+    squeezer,
+    vacuum,
+)
 from bpskrx.montecarlo import McConfig, McEstimate
 from bpskrx.optimize import LandscapePoint, LandscapeSummary, RootResult
 
@@ -17,6 +29,7 @@ ENS = BinaryEnsemble(0.5)
 DET = DetectorModel(0.9, 1e-3, 0.95, 0.98)
 CONFIG = McConfig(10, 1, ENS, DET, 0.5)
 POINT = LandscapePoint(1.0, 0.0, 0.5, 0.1)
+MEAS = GaussianMeasurementSpec.homodyne_stack([1.0], [0.3], [0.2, -0.1])
 
 #: record -> (field names, a valid instance)
 RECORDS = {
@@ -33,6 +46,17 @@ RECORDS = {
     ),
     McConfig: (("trials", "seed", "ensemble", "detector", "gamma"), CONFIG),
     McEstimate: (("config", "errors"), McEstimate(CONFIG, 3)),
+    GaussianState: (("cov", "disp"), vacuum(1)),
+    GaussianMeasurementSpec: (("cov", "disp"), MEAS),
+    SymplecticOp: (("matrix",), squeezer(0.4)),
+    ConditionedState: (
+        ("cov", "disp", "density"), condition_on_partial_measurement(vacuum(2), 1, MEAS)
+    ),
+    ConditionalOutput: (
+        ("state_plus", "state_minus", "weight_plus", "weight_minus", "shared_cov",
+         "disp_signal", "disp_offset"),
+        binary_conditional_output(ENS, beamsplitter(0.4), MEAS),
+    ),
 }
 
 #: (record, field, bad value, start of the refusal message)
@@ -50,6 +74,10 @@ REFUSALS = [
     (McConfig, "trials", 10.0, "trials must be an int >= 1"),
     (McConfig, "seed", 2**64, "seed must be an int in [0, 2**64)"),
     (McConfig, "gamma", float("nan"), "gamma must be finite"),
+    (GaussianState, "disp", [float("nan"), 0.0], "displacement has a non-finite entry"),
+    (GaussianState, "cov", [[0.5, 0.0], [0.0, 0.5]], "state covariance violates the uncertainty"),
+    (GaussianMeasurementSpec, "cov", [[0.5, 0.0], [0.0, 0.5]], "measurement covariance violates"),
+    (SymplecticOp, "matrix", [[2.0, 0.0], [0.0, 2.0]], "matrix is not symplectic within 1e-10"),
 ]
 
 
