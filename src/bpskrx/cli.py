@@ -17,6 +17,7 @@ before the output was written (the shell's SIGPIPE status; nothing on stderr).
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -108,6 +109,19 @@ def _save(path, write, *args) -> int:
         print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def _out_dir_error(path) -> int:
+    """2, after the message of `_save`, where the directory of ``--out`` is
+    missing or not writable, else 0: checked before any work, creating
+    nothing, so a run that fails later leaves no file behind."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK):
+        return 0
+    code = errno.EACCES if os.path.isdir(parent) else (
+        errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    print(f"error: {path}: {os.strerror(code)}", file=sys.stderr)
+    return 2
 
 
 def _alpha_grid(args) -> list[float]:
@@ -328,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) and _out_dir_error(args.out):
+            return 2
         status = args.func(args)
         if sys.stdout is not None:  # None where fd 1 was closed (``>&-``)
             sys.stdout.flush()  # a closed pipe fails here, not in the exit flush

@@ -5,8 +5,9 @@ gamma, and the joint displacement/squeezing pair for the squeeze-assisted
 variant), both built on one inversion of ``w tanh w = c``, and a grid verifier
 for the claim that sharp x-homodyne is the best single-mode Gaussian
 measurement on the binary coherent ensemble, with the sharpness factor and
-Bayes error it scans. All on Python floats, without numpy or scipy: `_brentq`
-and `_erfc` are step-for-step ports of scipy's ``brentq`` and ``erfc``.
+Bayes error it scans. All on Python floats, without numpy or scipy: both
+roots come from one safeguarded Newton, `_newton`, and the Bayes error from
+libm's ``erfc``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ __all__ = [
 
 #: Bracket end in r of the type1 solve; r* is about ln(1/eta)/2 + 0.35.
 _R_END = 12.0
-_MAXITER = 100  #: iteration cap of `_brentq`, SciPy's ``brentq`` default
+_MAXITER = 100  #: step cap of `_newton`
+_RTOL = 4.0 * sys.float_info.epsilon  #: relative step at which `_newton` stops
 
 
 class RootResult(NamedTuple):
@@ -49,7 +51,7 @@ class RootResult(NamedTuple):
         the two-parameter solver.
     residual : achieved max |f| at the solution; for gamma, ``|w tanh w - c|``
         of its inversion (0 where the tanh saturates).
-    iterations : Brent iterations spent; for the type1 pair, of its w-solve.
+    iterations : Newton steps spent; for the type1 pair, of its w-solve.
     """
 
     value: float | tuple[float, float]
@@ -57,67 +59,39 @@ class RootResult(NamedTuple):
     iterations: int
 
 
-def _brentq(f, xa: float, xb: float, xtol: float = 1e-15):
-    """Brent's method on a sign-changing bracket; returns (root, iterations).
-
-    A step-for-step port of ``brentq.c`` in SciPy (BSD-3-Clause, Copyright
-    (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers): root and
-    iterations of SciPy's ``brentq(f, xa, xb, xtol)`` with rtol = 4 eps;
-    ``xtol = 0``, which SciPy refuses, leaves only the relative tolerance.
-    Where SciPy raises on a same-sign bracket, a NaN from ``f`` or after its
-    100 iterations, this raises `ConvergenceError` with the last finite
-    iterate in ``best`` (None at the ends); ``< 0`` on nonzero non-NaN is
-    C's signbit. ``|x|`` is ``x if x >= 0.0 else -x`` and ``min(a, b)`` is
-    ``b if b < a else a``, the same comparisons without a call.
-    """
-    rtol = 4.0 * sys.float_info.epsilon
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre != fpre or fcur != fcur:
-        raise ConvergenceError(f"f is NaN at an end of [{xa}, {xb}]")
-    if fpre == 0.0 or fcur == 0.0:
-        return (xpre if fpre == 0.0 else xcur), 0
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ConvergenceError(f"f({xa}) and f({xb}) have the same sign")
+def _newton(fdf, lo: float, hi: float, x: float) -> tuple[float, int]:
+    """(root, steps) of a safeguarded Newton in the style of Numerical
+    Recipes' ``rtsafe``: ``fdf(x)`` gives (f, f'), f changes sign on [lo, hi]
+    and the iterate starts at ``x``. The bracket shrinks to the last iterate
+    of each sign, and a step that would leave it bisects instead. The solve
+    stops at a step below 4 eps relative, tested before the bracket, so a
+    converged step onto a bracket end does not bisect. A NaN from ``f``, a
+    same-sign bracket or ``_MAXITER`` steps raise `ConvergenceError`, with the
+    last finite iterate in ``best`` (None at the ends)."""
+    f_lo, f_hi = fdf(lo)[0], fdf(hi)[0]
+    if f_lo != f_lo or f_hi != f_hi:
+        raise ConvergenceError(f"f is NaN at an end of [{lo}, {hi}]")
+    if f_lo == 0.0 or f_hi == 0.0:
+        return (lo if f_lo == 0.0 else hi), 0
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ConvergenceError(f"f({lo}) and f({hi}) have the same sign")
+    last = lo
     for i in range(1, _MAXITER + 1):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        afcur = fcur if fcur >= 0.0 else -fcur
-        afblk = fblk if fblk >= 0.0 else -fblk
-        if afblk < afcur:
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-            afcur = afblk
-        delta = (xtol + rtol * (xcur if xcur >= 0.0 else -xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        asbis = sbis if sbis >= 0.0 else -sbis
-        if fcur == 0.0 or asbis < delta:
-            return xcur, i
-        aspre = spre if spre >= 0.0 else -spre
-        if aspre > delta and afcur < (fpre if fpre >= 0.0 else -fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate; a zero divisor makes C's step inf or NaN
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            bound = 3 * asbis - delta
-            if 2 * (stry if stry >= 0.0 else -stry) < (bound if bound < aspre else aspre):
-                spre, scur = scur, stry  # good short step
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        ascur = scur if scur >= 0.0 else -scur
-        xcur += scur if ascur > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise ConvergenceError(f"f({xcur!r}) is NaN", best=xpre)
-    raise ConvergenceError(f"no convergence after {_MAXITER} iterations", best=xcur)
+        f, d = fdf(x)
+        if f != f:
+            raise ConvergenceError(f"f({x!r}) is NaN", best=last)
+        if f == 0.0:
+            return x, i
+        lo, hi = (x, hi) if (f < 0.0) == (f_lo < 0.0) else (lo, x)
+        last, step = x, f / d if d else math.inf
+        if abs(step) <= _RTOL * abs(x):
+            return x - step, i
+        x -= step
+        if not lo < x < hi:  # bisect
+            x = 0.5 * (lo + hi)
+            if hi - lo <= _RTOL * abs(x):
+                return x, i
+    raise ConvergenceError(f"no convergence after {_MAXITER} Newton steps", best=x)
 
 
 def displaced_squeezed_error(
@@ -242,12 +216,19 @@ def solve_type2_gamma_imperfect(alpha: float, detector: DetectorModel) -> RootRe
 
 def _w_tanh_w_inverse(c: float) -> tuple[float, int]:
     """(w, iterations) for the w >= 0 with ``w tanh w = c``: ``sqrt(c) (1 +
-    c/6)`` below 1e-12, else the `_brentq` root, to relative precision, within
-    ``max(c, sqrt c) <= w <= (c + sqrt(c (c + 4)))/2``."""
+    c/6)`` below 1e-12, else the `_newton` root within ``max(c, sqrt c) <= w
+    <= (c + sqrt(c (c + 4)))/2``, started at the upper end for c < 1 and at
+    the lower end otherwise; the derivative is ``tanh w + w sech^2 w``."""
     if c < 1e-12:
         return math.sqrt(c) * (1.0 + c / 6.0), 0
-    hi, tanh = 0.5 * (c + math.sqrt(c) * math.sqrt(c + 4.0)), math.tanh
-    return _brentq(lambda w: w * tanh(w) - c, max(c, math.sqrt(c)), hi, xtol=0.0)
+    lo, hi = max(c, math.sqrt(c)), 0.5 * (c + math.sqrt(c) * math.sqrt(c + 4.0))
+    tanh = math.tanh
+
+    def fdf(w: float) -> tuple[float, float]:
+        t = tanh(w)
+        return w * t - c, t + w * (1.0 - t * t)
+
+    return _newton(fdf, lo, hi, hi if c < 1.0 else lo)
 
 
 def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
@@ -260,8 +241,10 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
     w tanh w runs over (0, 4 alpha^2). The second residual times beta / alpha,
     4 alpha^2 / sinh^2 w - (x - 1)(x + 1) G / H, its first term taken as
     (4 alpha exp(-w) / expm1(-2w))^2 so that it cannot overflow, is solved by
-    `_brentq` to relative precision between a lower bound on the w of
-    r = -`_R_END` and the w of r = +`_R_END`; ``iterations`` counts that solve.
+    `_newton` between a lower bound on the w of r = -`_R_END` and the w of
+    r = +`_R_END`, from the w of r = 0; ``iterations`` counts that solve. Its
+    derivative takes d(q^2)/dw = -2 q^2 / tanh w, dc/dw = tanh w + w sech^2 w
+    and dx/dc = k 4 alpha^2 / (4 alpha^2 - c)^2, in ratios that cannot overflow.
 
     Accepted only if the residuals of `type1_residuals` are below 1e-10
     times the size of their terms, ``|R1| < 1e-10 max(1, alpha)`` and ``|R2|
@@ -277,18 +260,25 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
     eta_a4, tanh, exp, expm1 = eta * a4, math.tanh, math.exp, math.expm1
     failed = f"stationarity solve failed for alpha={alpha}, eta={eta}"
 
-    def reduced(w: float) -> float:
-        c = w * tanh(w)
+    def reduced(w: float) -> tuple[float, float]:
+        t = tanh(w)
+        c = w * t
         x = k * (c / (a4 - c))
         q = alpha4 * exp(-w) / expm1(-2.0 * w)
-        return q * q - (x - 1.0) * (x + 1.0) * (eta_a4 / c) / (eta + eta2 * x)
+        q2, xx, e, den = q * q, (x - 1.0) * (x + 1.0), eta_a4 / c, eta + eta2 * x
+        dlog_c = 1.0 / w + (1.0 - t * t) / t  # (dc/dw) / c
+        c_dx = x * (a4 / (a4 - c))  # c dx/dc
+        d_tail = dlog_c * e * (c_dx * (2.0 * x * den - xx * eta2) / (den * den) - xx / den)
+        return q2 - xx * e / den, -2.0 * q2 / t - d_tail
 
     try:
         c_lo = a4 / (1.0 + k * math.exp(2.0 * _R_END))
         w_hi = _w_tanh_w_inverse(a4 / (1.0 + k * math.exp(-2.0 * _R_END)))[0]
         if not (c_lo > 0.0 and w_hi * math.tanh(w_hi) < a4):
             raise ConvergenceError(f"floats hold no bracket for |r| <= {_R_END}")
-        w, iterations = _brentq(reduced, max(c_lo, math.sqrt(c_lo)), w_hi, xtol=0.0)
+        w_lo = max(c_lo, math.sqrt(c_lo))
+        w0 = _w_tanh_w_inverse(a4 / (1.0 + k))[0]  # r = 0
+        w, iterations = _newton(reduced, w_lo, w_hi, min(max(w0, w_lo), w_hi))
     except ConvergenceError as exc:
         raise ConvergenceError(f"{failed}: {exc}") from exc
     c = w * math.tanh(w)
@@ -319,69 +309,6 @@ def contrast_factor(r: float, phi: float) -> float:
     return (1.0 + ch + math.sinh(2.0 * r) * math.cos(phi)) / den
 
 
-# cephes ndtr.c as shipped in SciPy (scipy.special, BSD-3-Clause): erfc(x) =
-# exp(-x^2) P(x)/Q(x) on 1 <= x < 8 and exp(-x^2) R(x)/S(x) beyond, erf(x) =
-# x T(x^2)/U(x^2) on |x| < 1. Highest power first; Q, S, U lead with 1.
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-#: ln(DBL_MAX); exp(-x^2) underflows past it.
-_MAXLOG = 7.09782712893383996843e2
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    """Horner evaluation in cephes order. With a leading 1 the first two
-    steps give ``x + coef[1]`` exactly, so this also serves as p1evl."""
-    ans = 0.0
-    for c in coef:
-        ans = ans * x + c
-    return ans
-
-
-def _erfc(a: float) -> float:
-    """Complementary error function, ported step for step from ``erfc`` and
-    ``erf`` in cephes ``ndtr.c`` (Stephen L. Moshier) as shipped in SciPy,
-    so it equals ``scipy.special.erfc`` bitwise. Past ``_MAXLOG`` it
-    returns 0, or 2 for negative ``a``."""
-    if a != a:
-        return math.nan
-    x = abs(a)
-    if x < 1.0:  # 1 - erf(a); erf is odd, and the sign flips exactly
-        z = a * a
-        return 1.0 - a * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-    z = -a * a
-    if z >= -_MAXLOG:
-        p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
-        y = (math.exp(z) * _polevl(x, p)) / _polevl(x, q)
-        y = 2.0 - y if a < 0 else y
-        if y != 0.0:
-            return y
-    return 2.0 if a < 0 else 0.0
-
-
 def bayes_error_from_contrast(ensemble: BinaryEnsemble, e: float) -> float:
     """Bayesian error probability of a Gaussian measurement with sharpness e:
     ``erfc(sqrt(2 e) alpha) / 2``. The outcome densities N(+-mu, Sigma) have
@@ -391,7 +318,7 @@ def bayes_error_from_contrast(ensemble: BinaryEnsemble, e: float) -> float:
     alpha = ensemble.alpha
     if alpha == 0.0 or e <= 0.0:
         return 0.5
-    return float(0.5 * _erfc(math.sqrt(2.0 * e) * alpha))
+    return 0.5 * math.erfc(math.sqrt(2.0 * e) * alpha)
 
 
 class LandscapePoint(namedtuple("LandscapePoint", "r phi e p_error")):

@@ -36,7 +36,6 @@ from .optimize import (
 
 __all__ = [
     "RECEIVERS",
-    "Receiver",
     "coupled_tag",
     "helstrom",
     "homodyne_limit",
@@ -231,7 +230,7 @@ def type2_imperfect_error(
     return _click_result(coupled_tag("type2", detector), ensemble, gamma, null, detector)
 
 
-class Receiver(NamedTuple):
+class _Receiver(NamedTuple):
     """One entry of the receiver table."""
 
     evaluate: Callable[[BinaryEnsemble, DetectorModel], ReceiverResult]
@@ -248,21 +247,21 @@ _COUPLED = ("eta", "nu", "tau", "xi")
 #: `coupled_tag`): ``kennedy`` with coupling loss gives a
 #: ``kennedy_imperfect`` row, ``type2_imperfect`` at tau = xi = 1 a ``type2``
 #: row.
-RECEIVERS: dict[str, Receiver] = {
-    "helstrom": Receiver(lambda ens, det: ReceiverResult("helstrom", helstrom(ens)), ()),
-    "homodyne": Receiver(
+RECEIVERS: dict[str, _Receiver] = {
+    "helstrom": _Receiver(lambda ens, det: ReceiverResult("helstrom", helstrom(ens)), ()),
+    "homodyne": _Receiver(
         lambda ens, det: ReceiverResult("homodyne", homodyne_limit(ens)), ()
     ),
-    "homodyne_tau": Receiver(
+    "homodyne_tau": _Receiver(
         lambda ens, det: ReceiverResult(
             "homodyne_tau", homodyne_limit_attenuated(ens, det), detector=det
         ),
         ("tau",),
     ),
-    "kennedy": Receiver(kennedy_error, _IDEAL),
-    "kennedy_imperfect": Receiver(kennedy_error, _COUPLED),
-    "kennedy_raw": Receiver(kennedy_raw_error, _COUPLED),
-    "type1": Receiver(type1_error, _IDEAL),
-    "type2": Receiver(type2_error, _IDEAL),
-    "type2_imperfect": Receiver(type2_imperfect_error, _COUPLED),
+    "kennedy": _Receiver(kennedy_error, _IDEAL),
+    "kennedy_imperfect": _Receiver(kennedy_error, _COUPLED),
+    "kennedy_raw": _Receiver(kennedy_raw_error, _COUPLED),
+    "type1": _Receiver(type1_error, _IDEAL),
+    "type2": _Receiver(type2_error, _IDEAL),
+    "type2_imperfect": _Receiver(type2_imperfect_error, _COUPLED),
 }

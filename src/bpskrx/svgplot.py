@@ -13,9 +13,9 @@ import math
 
 from .sweepio import CsvRow
 
-__all__ = ["render_svg", "PALETTE"]
+__all__ = ["render_svg"]
 
-PALETTE = (
+_PALETTE = (
     "#1f77b4",
     "#d62728",
     "#2ca02c",
@@ -142,7 +142,7 @@ def render_svg(rows: list[CsvRow]) -> str:
 
     for gi, key in enumerate(sorted(groups)):
         receiver, provenance = key
-        color = PALETTE[gi % len(PALETTE)]
+        color = _PALETTE[gi % len(_PALETTE)]
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in groups[key])
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import erfc
 
 from bpskrx.core import BinaryEnsemble, DetectorModel
@@ -23,7 +24,6 @@ from bpskrx.gaussian import (
 )
 from bpskrx.montecarlo import McConfig, simulate_type2
 from bpskrx.optimize import (
-    _brentq,
     displaced_squeezed_error,
     solve_type1_params,
     solve_type2_gamma,
@@ -76,7 +76,7 @@ def test_kennedy_homodyne_crossover():
     f = lambda a_sq: 0.5 * math.exp(-4.0 * a_sq) - 0.5 * erfc(
         math.sqrt(2.0 * a_sq)
     )
-    root, _ = _brentq(f, 0.35, 0.45)
+    root = brentq(f, 0.35, 0.45, xtol=1e-15)
     dt = time.perf_counter() - t0
     ok = 0.35 < root < 0.45 and abs(root - 0.38409927839541491) < 1e-9 and dt < 1.0
     assert _verdict(
@@ -123,6 +123,33 @@ def test_optimal_displacement_limits():
         ok,
         f"gamma(1e-4) - 2^-0.5 = {small - 2 ** -0.5:.2e}, "
         f"gamma(2) - 2 = {large - 2.0:.2e}, {dt * 1e3:.1f} ms",
+    )
+
+
+def _eta_tie(receiver, alpha_sq: float) -> float:
+    """The efficiency eta* at which ``receiver`` ties ideal homodyne."""
+    ens = BinaryEnsemble(math.sqrt(alpha_sq))
+    hom = homodyne_limit(ens)
+    f = lambda eta: receiver(ens, DetectorModel(eta=eta)).p_error - hom
+    return brentq(f, 0.3, 1.0, xtol=1e-12)
+
+
+def test_homodyne_efficiency_frontier():
+    """Near-optimal receivers beat homodyne down to an efficiency eta*. As
+    alpha -> 0, type2 gives 1/2 - sqrt(2 eta) e^(-1/2) alpha and homodyne
+    1/2 - sqrt(2/pi) alpha, so type2's eta* tends to e/pi; type1, which can
+    also squeeze, ties at a lower efficiency."""
+    t0 = time.perf_counter()
+    anchor = _eta_tie(type2_error, 1e-6) / (math.e / math.pi) - 1.0
+    pairs = [(_eta_tie(type1_error, a2), _eta_tie(type2_error, a2)) for a2 in (1e-2, 1.0)]
+    dt = time.perf_counter() - t0
+    ok = abs(anchor) < 1e-4 and all(t1 < t2 for t1, t2 in pairs) and dt < 1.0
+    assert _verdict(
+        "efficiency-frontier",
+        ok,
+        f"type2 eta*(1e-6) / (e/pi) - 1 = {anchor:.1e}, (type1, type2) eta* at "
+        f"alpha^2 = 1e-2, 1: {', '.join(f'({t1:.3f}, {t2:.3f})' for t1, t2 in pairs)}, "
+        f"{dt * 1e3:.0f} ms",
     )
 
 

@@ -579,6 +579,25 @@ def test_unwritable_out_exit_2(tmp_path, capsys, argv):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "parent, code", [("missing", errno.ENOENT), ("file", errno.ENOTDIR)], ids=["missing", "file"]
+)
+def test_unwritable_out_exits_2_before_the_work(tmp_path, capsys, monkeypatch, parent, code):
+    """An ``--out`` whose directory is missing or a file is refused before
+    a single simulation runs."""
+    from bpskrx import montecarlo
+
+    def simulate(*args):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(montecarlo, "sweep_montecarlo", simulate)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / parent / "x.csv"
+    assert cli.main(["montecarlo", "--points", "60", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: {os.strerror(code)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def _one_row_per_tag():
     """One analytic row per receiver tag (coupled detector where the tag
     keeps tau and xi), plus one Monte Carlo row with a standard error."""

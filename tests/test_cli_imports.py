@@ -117,6 +117,62 @@ def test_module_all_names_are_its_own(module):
             assert value.__module__ == sub.__name__, name
 
 
+_RECORD = "a record type that a public function returns"
+_GATE = "a Gaussian-layer building block the tests assemble circuits from"
+
+#: Public names that no package module and nothing in ``bench/`` imports,
+#: each with why it stays public.
+TEST_ONLY = {
+    "cli.main": "the entry point of the console script and of python -m bpskrx.cli",
+    "gaussian.GaussianState": _RECORD,
+    "gaussian.SymplecticOp": _RECORD,
+    "gaussian.ConditionedState": _RECORD,
+    "gaussian.ConditionalOutput": _RECORD,
+    "montecarlo.McEstimate": _RECORD,
+    "optimize.RootResult": _RECORD,
+    "optimize.LandscapePoint": _RECORD,
+    "optimize.LandscapeSummary": _RECORD,
+    "gaussian.beamsplitter": _GATE,
+    "gaussian.coherent_state": _GATE,
+    "gaussian.tensor": _GATE,
+    "gaussian.phase_rotation": _GATE,
+    "gaussian.squeezer": _GATE,
+    "gaussian.symplectic_form": _GATE,
+    "gaussian.measurement_cov": _GATE,
+    "optimize.contrast_factor": "the landscape's sharpness factor, checked in closed form",
+    "optimize.type1_residuals": "the stationarity residuals that test a type1 optimum",
+    "montecarlo.derive_point_seed": "the per-point seed scheme that replays a Monte Carlo row",
+    "sweepio.CSV_HEADER": "the CSV column contract that readers of the files rely on",
+}
+
+
+def _imported_names(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for every ``from bpskrx.module import name`` and
+    ``from .module import name`` in ``path``."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.removeprefix("bpskrx.")
+            out.update((module, alias.name) for alias in node.names)
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    """Each ``__all__`` name is imported by another package module (`cli`
+    included) or by ``bench/``, or is listed in `TEST_ONLY` with its reason;
+    the list holds nothing else, so the public surface cannot grow back."""
+    files = [*(ROOT / "src" / "bpskrx").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    uncalled = set()
+    for module in _module_names():
+        used = set().union(*(_imported_names(f) for f in files if f.stem != module))
+        uncalled |= {
+            f"{module}.{name}"
+            for name in importlib.import_module(f"bpskrx.{module}").__all__
+            if (module, name) not in used
+        }
+    assert uncalled == set(TEST_ONLY)
+
+
 def test_package_holds_only_its_version():
     """The package re-exports nothing: besides ``__version__`` its public
     names are only the submodules imported so far."""

@@ -453,8 +453,9 @@ def test_bayes_error_values():
 
     ens = BinaryEnsemble(1.0)
     assert bayes_error_from_contrast(ens, 1.0) == pytest.approx(0.5 * erfc(math.sqrt(2)), abs=1e-16)
-    # r = 0 erases the phi dependence entirely
-    assert bayes_error_from_contrast(BinaryEnsemble(0.7), contrast_factor(0.0, 1.3)) == 0.5 * erfc(0.7)
+    # r = 0 erases the phi dependence entirely: e = 1/2 exactly, so the call
+    # is libm's erfc(0.7)/2 bit for bit (scipy's erfc is 6e-17 above it)
+    assert bayes_error_from_contrast(BinaryEnsemble(0.7), contrast_factor(0.0, 1.3)) == 0.5 * math.erfc(0.7)
     assert bayes_error_from_contrast(BinaryEnsemble(0.0), 1.0) == 0.5
     assert bayes_error_from_contrast(ens, 0.0) == 0.5
 

@@ -1,143 +1,79 @@
-"""The scipy-free ports equal scipy bitwise.
+"""The safeguarded Newton and the libm ``erfc`` that replaced the SciPy ports.
 
-`optimize._erfc` against ``scipy.special.erfc`` and `optimize._brentq`
-against ``scipy.optimize.brentq``, compared with ``==``: the ports replace
-the scipy calls on the analytic path, so any difference would move the
-printed curves. `_brentq` is pinned at its default absolute tolerance and at
-the relative-only tolerance (``xtol = 0``) of the w tanh w = c inversion and
-the type1 solve.
+`optimize._newton` serves both roots of the analytic path (the w tanh w = c
+inversion and the type1 solve); its typed failures are pinned here. The
+Bayes error takes libm's ``erfc``, checked against mpmath through
+`homodyne_limit` at the exact arguments it passes.
 """
 
-import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
-from scipy.special import erfc
 
-from bpskrx import optimize
-from bpskrx.core import ConvergenceError
-from bpskrx.optimize import _brentq, _erfc
+from bpskrx.core import BinaryEnsemble, ConvergenceError
+from bpskrx.optimize import _newton
+from bpskrx.receivers import homodyne_limit
 
 
-def test_erfc_equals_scipy_bitwise():
-    grid = np.logspace(-300.0, math.log10(30.0), 10_000)
-    # erf's T/U serve |x| < 1, where a wrong last digit moves few values
-    dense = np.linspace(0.0, 1.0, 100_001)
-    edge = np.linspace(26.5, 27.3, 801)  # exp(-x^2) goes subnormal, then 0
-    special = np.array([0.0, 1.0, 8.0, math.inf])
-    xs = np.concatenate([grid, dense, edge, special])
-    xs = np.concatenate([xs, -xs])
-    ours = np.array([_erfc(float(x)) for x in xs])
-    theirs = erfc(xs)
-    assert np.array_equal(ours, theirs)
-    assert np.array_equal(np.signbit(ours), np.signbit(theirs))
-    assert _erfc(-0.0) == 1.0 and math.isnan(_erfc(math.nan))
+def test_newton_nan_raises_convergence_error():
+    fdf = lambda x: (math.nan if 0.4 < x < 0.6 else x - 0.5, 1.0)
+    with pytest.raises(ConvergenceError, match="NaN") as exc:
+        _newton(fdf, 0.0, 1.0, 0.0)
+    assert exc.value.best == 0.0  # the last iterate with a finite f
+    with pytest.raises(ConvergenceError, match="NaN at an end") as exc:
+        _newton(fdf, 0.5, 1.0, 1.0)
+    assert exc.value.best is None
 
 
-def _gamma_condition(alpha, eta):
-    slope, target = 2.0 * eta * alpha, alpha
-    return lambda x: x * math.tanh(slope * x) - target
+def test_newton_maxiter_raises_convergence_error():
+    """A step at 1e-300 gives Newton no slope, so every step bisects, and
+    about 1,000 halvings would reach it; the solve stops at 100 steps."""
+    fdf = lambda x: (-1.0 if x < 1e-300 else 1.0, 0.0)
+    with pytest.raises(ConvergenceError, match="after 100 Newton steps") as exc:
+        _newton(fdf, 0.0, 1.0, 1.0)
+    assert 0.0 < exc.value.best < 1.0
 
 
-def _beta_condition(alpha, eta, r):
-    g = eta + (2.0 - eta) * math.exp(-2.0 * r)
-    return lambda b: b * math.tanh(4.0 * eta * alpha * b / g) - alpha
+def test_newton_same_sign_raises_convergence_error():
+    with pytest.raises(ConvergenceError, match="same sign") as exc:
+        _newton(lambda x: (x * x + 1.0, 2.0 * x), 0.0, 1.0, 0.5)
+    assert exc.value.best is None
 
 
-def _brackets():
-    """The gamma and beta conditions over an (alpha, eta, r) grid, each with a
-    sign-changing bracket found by doubling its upper end, and a bracket with
-    an exact zero at its lower end."""
-    alphas = np.logspace(-3.0, 1.2, 16)
-    etas = (0.05, 0.3, 0.7, 1.0)
-    for alpha, eta in itertools.product(map(float, alphas), etas):
-        cases = [_gamma_condition(alpha, eta)]
-        cases += [_beta_condition(alpha, eta, r) for r in (-1.5, -0.3, 0.0, 0.4, 1.5)]
-        for f in cases:
-            lo, hi = 1e-12, alpha + 3.0 / math.sqrt(2.0 * eta) + 2.0
-            while f(hi) < 0.0:
-                hi = lo + 2.0 * (hi - lo)
-            yield f, lo, hi
-    yield (lambda x: x * x - 0.25), 0.5, 1.0
-
-
-def _type1_brackets(monkeypatch):
-    """The ``w tanh w = c`` and ``reduced`` brackets that `solve_type1_params`
-    hands to `_brentq` over an (alpha, eta) grid, alpha in [1e-3, 31.6] and
-    eta in [1e-3, 1], recorded as (f, lo, hi, xtol)."""
+def test_newton_converged_step_onto_a_bracket_end_returns():
+    """The stopping test comes before the bracket test: a step below 4 eps
+    relative returns even where it lands on an end of the bracket, here
+    the start 1.0, which the first step moves by 1e-20; a bisection would
+    have gone to 1.5."""
     calls = []
 
-    def record(f, lo, hi, xtol=1e-15):
-        calls.append((f, lo, hi, xtol))
-        return _brentq(f, lo, hi, xtol)
+    def fdf(x):
+        calls.append(x)
+        return x - 1.0 - 1e-20, 1.0
 
-    monkeypatch.setattr(optimize, "_brentq", record)
-    for alpha, eta in itertools.product(np.logspace(-3.0, 1.5, 12), np.logspace(-3.0, 0.0, 11)):
-        optimize.solve_type1_params(float(alpha), float(eta))
-    monkeypatch.undo()
-    return calls
-
-
-def test_brentq_equals_scipy_bitwise(monkeypatch):
-    n = 0
-    for f, lo, hi in _brackets():
-        ours, iters = _brentq(f, lo, hi)
-        theirs, info = brentq(f, lo, hi, xtol=1e-15, full_output=True)
-        assert ours == theirs
-        if f(lo) != 0.0 and f(hi) != 0.0:
-            assert iters == info.iterations
-        n += 1
-    assert n == 16 * 4 * 6 + 1
-    # relative tolerance alone; SciPy needs xtol > 0, and 5e-324 is lost in
-    # xtol + rtol |x| at every root here
-    calls = _type1_brackets(monkeypatch)
-    assert len(calls) == 12 * 11 * 2
-    n = 0
-    for f, lo, hi, xtol in calls:
-        assert xtol == 0.0
-        ours, iters = _brentq(f, lo, hi, xtol=0.0)
-        theirs, info = brentq(f, lo, hi, xtol=5e-324, full_output=True)
-        assert ours == theirs
-        if f(lo) != 0.0 and f(hi) != 0.0:  # SciPy leaves iterations unset at a zero end
-            assert iters == info.iterations
-            n += 1
-    assert n == 231
-    same_sign = lambda x: x * x + 1.0
-    with pytest.raises(ConvergenceError, match="same sign"):
-        _brentq(same_sign, 0.0, 1.0)
-    with pytest.raises(ValueError, match="different signs"):
-        brentq(same_sign, 0.0, 1.0)
-
-
-def test_brentq_nan_raises_convergence_error():
-    f = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5
-    with pytest.raises(ConvergenceError, match="NaN") as exc:
-        _brentq(f, 0.0, 1.0)
-    assert exc.value.best is not None
-
-
-def test_brentq_maxiter_raises_convergence_error():
-    """A step at 1e-300 with no absolute tolerance needs about 1,000
-    halvings; both solvers stop at the 100-iteration cap."""
-    f = lambda x: -1.0 if x < 1e-300 else 1.0
-    with pytest.raises(ConvergenceError, match="after 100 iterations") as exc:
-        _brentq(f, 0.0, 1.0, xtol=0.0)
-    assert 0.0 < exc.value.best < 1.0
-    with pytest.raises(RuntimeError, match="after 100 iterations"):
-        brentq(f, 0.0, 1.0, xtol=5e-324)
+    assert _newton(fdf, 1.0, 2.0, 1.0) == (1.0, 1)
+    assert calls == [1.0, 2.0, 1.0]
 
 
 def test_erfc_relative_accuracy_against_mpmath():
-    """Bitwise equality with scipy says nothing about accuracy; against
-    120-bit mpmath the port stays within 1e-13 relative, down to
-    erfc(26.5) ~ 1e-307 (worst seen: 5.7e-14 near x = 25.6)."""
+    """`homodyne_limit` is libm's erfc(sqrt(2) alpha)/2. Against 200-bit
+    mpmath at the argument it passes, it stays within 1e-15 relative down
+    to erfc(26.5) ~ 1e-307 (worst seen: 3.1e-16); past that, where erfc
+    goes subnormal, within 4 units of the smallest subnormal, and nonzero
+    wherever the true value is above them."""
     mpmath = pytest.importorskip("mpmath")
-    xs = np.concatenate([np.linspace(-6.0, 26.5, 8001), np.logspace(-300.0, -1.0, 500)])
-    with mpmath.workprec(120):
+    edge = math.sqrt(2.0)
+    alphas = np.concatenate([np.linspace(0.0, 26.5 / edge, 8001), np.logspace(-300.0, -1.0, 500)])
+    ulp = 5e-324
+    with mpmath.workprec(200):
+        exact = lambda a: mpmath.erfc(mpmath.mpf(math.sqrt(2.0) * a)) / 2
         worst = max(
-            abs(mpmath.mpf(_erfc(x)) / mpmath.erfc(mpmath.mpf(x)) - 1)
-            for x in map(float, xs)
+            abs(mpmath.mpf(homodyne_limit(BinaryEnsemble(a))) / exact(a) - 1)
+            for a in map(float, alphas)
         )
-    assert worst <= 1e-13
+        for a in map(float, np.linspace(26.5 / edge, 27.3 / edge, 801)):
+            p, ref = homodyne_limit(BinaryEnsemble(a)), exact(a)
+            assert abs(p - ref) <= 4 * ulp, a
+            assert p > 0.0 or ref < 4 * ulp, a
+    assert worst <= 1e-15
