@@ -76,11 +76,16 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 def _parse_grid(text: str) -> list[float]:
     """Either ``lo:hi:n`` (inclusive linear spacing) or a comma list."""
-    if ":" in text:
-        lo_s, hi_s, n_s = text.split(":")
-        values = _linspace(float(lo_s), float(hi_s), int(n_s))
-    else:
-        values = [float(part) for part in text.split(",") if part.strip()]
+    try:
+        if ":" in text:
+            lo_s, hi_s, n_s = text.split(":")
+            values = _linspace(float(lo_s), float(hi_s), int(n_s))
+        else:
+            values = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is neither lo:hi:n nor a comma list of numbers ({exc})"
+        ) from None
     if not values or not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError("grid needs at least one point, all finite")
     return values

@@ -43,13 +43,7 @@ __all__ = [
     "ConditionalOutput",
     "symplectic_form",
     "vacuum",
-    "coherent_state",
-    "tensor",
-    "beamsplitter",
-    "phase_rotation",
-    "squeezer",
     "random_symplectic",
-    "measurement_cov",
     "apply_gaussian_unitary",
     "condition_on_partial_measurement",
     "binary_conditional_output",
@@ -144,20 +138,6 @@ def vacuum(n_modes: int) -> GaussianState:
     return GaussianState(np.eye(2 * n_modes), np.zeros(2 * n_modes))
 
 
-def coherent_state(alpha: float) -> GaussianState:
-    """Single-mode coherent state of real amplitude ``alpha``."""
-    return GaussianState(np.eye(2), np.array([math.sqrt(2.0) * alpha, 0.0]))
-
-
-def tensor(*states: GaussianState) -> GaussianState:
-    """Tensor product (direct sum of covariances, concatenated displacements)."""
-    if not states:
-        raise ValueError("tensor needs at least one state; states is empty")
-    cov = _block_diag([s.cov for s in states])
-    disp = np.concatenate([s.disp for s in states])
-    return GaussianState(cov, disp)
-
-
 class SymplecticOp(namedtuple("SymplecticOp", "matrix")):
     """Gaussian unitary in phase space: ``z -> S z``."""
 
@@ -196,24 +176,6 @@ def _gate_block(gate: str, x: float) -> np.ndarray:
     return np.diag([math.exp(-x), math.exp(x)])
 
 
-def beamsplitter(theta: float, n_modes: int = 2, modes: tuple[int, int] = (0, 1)) -> SymplecticOp:
-    """Beamsplitter of mixing angle ``theta`` between two modes.
-
-    ``theta = pi/4`` is the balanced (50:50) splitter.
-    """
-    return SymplecticOp(_embed(n_modes, modes, _gate_block("beamsplitter", theta)))
-
-
-def phase_rotation(phi: float, n_modes: int = 1, mode: int = 0) -> SymplecticOp:
-    """Single-mode phase-space rotation by angle ``phi``."""
-    return SymplecticOp(_embed(n_modes, (mode,), _gate_block("rotation", phi)))
-
-
-def squeezer(r: float, n_modes: int = 1, mode: int = 0) -> SymplecticOp:
-    """Single-mode squeezer: x -> exp(-r) x, p -> exp(r) p."""
-    return SymplecticOp(_embed(n_modes, (mode,), _gate_block("squeezer", r)))
-
-
 def random_symplectic(n_modes: int, rng: np.random.Generator) -> SymplecticOp:
     """Seeded generic symplectic: layered beamsplitters, rotations, squeezers.
 
@@ -238,7 +200,7 @@ def random_symplectic(n_modes: int, rng: np.random.Generator) -> SymplecticOp:
     return SymplecticOp(s)
 
 
-def measurement_cov(r: float, phi: float) -> np.ndarray:
+def _measurement_cov(r: float, phi: float) -> np.ndarray:
     """Covariance of a general single-mode Gaussian measurement.
 
     ``[[c-, s], [s, c+]]`` with ``c_pm = cosh(2r) +- sinh(2r) cos(phi)`` and
@@ -265,7 +227,7 @@ class GaussianMeasurementSpec(GaussianState):
         ``phis`` are sequences of equal length."""
         if len(rs) != len(phis):
             raise ValueError(f"homodyne_stack got {len(rs)} rs but {len(phis)} phis")
-        blocks = [measurement_cov(r, p) for r, p in zip(rs, phis)]
+        blocks = [_measurement_cov(r, p) for r, p in zip(rs, phis)]
         if not blocks:
             raise ValueError("homodyne_stack needs at least one mode; rs and phis give none")
         cov = _block_diag(blocks)

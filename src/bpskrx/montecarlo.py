@@ -38,7 +38,6 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "RNG_ID",
-    "derive_point_seed",
     "simulate_type2",
     "sweep_montecarlo",
 ]
@@ -95,11 +94,6 @@ class McEstimate(NamedTuple):
         return self.config.gamma
 
 
-def derive_point_seed(master_seed: int, index: int) -> int:
-    """Per-point seed for sweep entry ``index``: SeedSequence([master, index])."""
-    return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
-
-
 def simulate_type2(config: McConfig) -> McEstimate:
     """Run the click simulation and report the error fraction.
 
@@ -133,11 +127,11 @@ def sweep_montecarlo(grid, template: McConfig) -> list[McEstimate]:
 
     Each point rebuilds the ensemble at the grid amplitude, re-solves the
     optimal displacement for the template's detector, and runs
-    `simulate_type2` with the seed ``derive_point_seed(template.seed,
-    index)``; the template's own gamma is ignored; each estimate carries the
-    request it was run with, solved gamma included. A one-point sweep
-    therefore equals a direct `simulate_type2` call with that derived seed
-    and solved gamma.
+    `simulate_type2` with the first 64-bit word of ``SeedSequence([
+    template.seed, index])`` as its seed; the template's own gamma is
+    ignored; each estimate carries the request it was run with, seed and
+    solved gamma included. A one-point sweep therefore equals a direct
+    `simulate_type2` call with that derived seed and solved gamma.
     """
     grid = list(grid)
     if not grid:
@@ -146,7 +140,7 @@ def sweep_montecarlo(grid, template: McConfig) -> list[McEstimate]:
     for index, alpha_sq in enumerate(grid):
         ensemble = BinaryEnsemble(math.sqrt(alpha_sq))
         gamma = solve_type2_gamma_imperfect(ensemble.alpha, template.detector).value
-        seed = derive_point_seed(template.seed, index)
+        seed = int(np.random.SeedSequence([template.seed, index]).generate_state(1, np.uint64)[0])
         config = McConfig(template.trials, seed, ensemble, template.detector, gamma)
         out.append(simulate_type2(config))
     return out

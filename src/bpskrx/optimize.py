@@ -34,7 +34,6 @@ __all__ = [
     "solve_type2_gamma_imperfect",
     "solve_type1_params",
     "verify_gaussian_optimum",
-    "contrast_factor",
     "bayes_error_from_contrast",
 ]
 
@@ -290,7 +289,7 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
     return RootResult((beta, r), max(abs(r1), abs(r2)), iterations)
 
 
-def contrast_factor(r: float, phi: float) -> float:
+def _contrast_factor(r: float, phi: float) -> float:
     """Sharpness factor e(r, phi) of a single-mode Gaussian measurement.
 
     ``e = (1 + cosh 2r + sinh 2r cos phi) / (2 (1 + cosh 2r))``, in [0, 1].
@@ -360,7 +359,7 @@ def verify_gaussian_optimum(
     points = []
     for r in r_grid:
         for phi in phi_grid:
-            e = contrast_factor(r, phi)
+            e = _contrast_factor(r, phi)
             points.append(
                 LandscapePoint(r, phi, e, bayes_error_from_contrast(ensemble, e))
             )

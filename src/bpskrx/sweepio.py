@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .core import PROVENANCES, CsvFormatError, ReceiverResult
 from .receivers import RECEIVERS
 
-__all__ = ["CSV_HEADER", "CsvRow", "row_from_result", "write_csv", "read_csv"]
+__all__ = ["CsvRow", "row_from_result", "write_csv", "read_csv"]
 
 
 class CsvRow(NamedTuple):
@@ -44,7 +44,7 @@ class CsvRow(NamedTuple):
 
 
 _FIELDS = CsvRow._fields
-CSV_HEADER = ",".join(_FIELDS)
+_CSV_HEADER = ",".join(_FIELDS)
 _NUMERIC = tuple(i for i, col in enumerate(_FIELDS) if col not in ("receiver", "provenance"))
 #: Per receiver tag, whether its rows keep the eta, nu, tau and xi columns.
 _KEEP = {
@@ -73,7 +73,7 @@ def write_csv(path, rows, metadata: dict | None = None) -> None:
     lines = []
     for key, value in (metadata or {}).items():
         lines.append(f"# {key}={value}")
-    lines.append(CSV_HEADER)
+    lines.append(_CSV_HEADER)
     lines += [
         ",".join(["" if x is None else x if isinstance(x, str) else repr(float(x)) for x in row])
         for row in rows
@@ -124,9 +124,9 @@ def read_csv(path) -> tuple[dict, list[CsvRow]]:
                 metadata[key.strip()] = value.strip()
             continue
         if not header_seen:
-            if line != CSV_HEADER:
+            if line != _CSV_HEADER:
                 raise CsvFormatError(
-                    f"expected header {CSV_HEADER!r}, got {line!r}", idx
+                    f"expected header {_CSV_HEADER!r}, got {line!r}", idx
                 )
             header_seen = True
             continue

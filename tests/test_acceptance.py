@@ -18,7 +18,6 @@ from bpskrx.fock import receiver_error_fock
 from bpskrx.gaussian import (
     GaussianMeasurementSpec,
     binary_conditional_output,
-    measurement_cov,
     pure_normal_form,
     random_symplectic,
 )

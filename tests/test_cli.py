@@ -20,7 +20,7 @@ from bpskrx.core import (
     DetectorModel,
     ReceiverResult,
 )
-from bpskrx.montecarlo import RNG_ID, McConfig, derive_point_seed, simulate_type2
+from bpskrx.montecarlo import RNG_ID, McConfig, simulate_type2
 from bpskrx.optimize import solve_type2_gamma
 from bpskrx.receivers import (
     RECEIVERS,
@@ -34,9 +34,11 @@ from bpskrx.receivers import (
     type2_imperfect_error,
 )
 from bpskrx.svgplot import render_svg
-from bpskrx.sweepio import CSV_HEADER, CsvRow, read_csv, row_from_result, write_csv
+from bpskrx.sweepio import CsvRow, read_csv, row_from_result, write_csv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+#: The CSV header line: the `CsvRow` field names, comma-joined.
+HEADER = ",".join(CsvRow._fields)
 
 
 def test_sweep_matches_library_values(tmp_path):
@@ -326,10 +328,17 @@ def test_verify_gaussian_huge_r_passes(capsys):
 
 @pytest.mark.parametrize(
     "grid, message",
-    [("0:1:-1", "invalid _parse_grid value: '0:1:-1'"),
+    [pytest.param("0:1:-1", "'0:1:-1' is neither lo:hi:n nor a comma list of numbers "
+                  "(Number of samples, -1, must be non-negative.)", id="0:1:-1-negative-count"),
+     pytest.param("abc", "'abc' is neither lo:hi:n nor a comma list of numbers "
+                  "(could not convert string to float: 'abc')", id="abc-not-a-number"),
+     pytest.param("1:2", "'1:2' is neither lo:hi:n nor a comma list of numbers "
+                  "(not enough values to unpack (expected 3, got 2))", id="1:2-two-fields"),
      ("0:1:0", "grid needs at least one point")],
 )
 def test_grid_point_count_errors(capsys, grid, message):
+    """A grid spec that parses as neither form names both forms and the
+    cause; one that parses to no point says so."""
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify-gaussian", "--alpha-sq", "1", "--r-grid", grid])
     assert exc.value.code == 2
@@ -412,7 +421,8 @@ def test_montecarlo_csv(tmp_path):
     # first grid point reproduces a direct simulation with the derived seed
     gamma = solve_type2_gamma(0.5).value
     direct = simulate_type2(
-        McConfig(2000, derive_point_seed(99, 0), BinaryEnsemble(0.5), DetectorModel(), gamma)
+        McConfig(2000, int(np.random.SeedSequence([99, 0]).generate_state(1, np.uint64)[0]),
+                 BinaryEnsemble(0.5), DetectorModel(), gamma)
     )
     assert rows[0].p_error == direct.p_hat
     assert rows[0].std_err == direct.std_err
@@ -480,7 +490,7 @@ def test_plot_extreme_values_keep_axes(tmp_path):
     their ticks, but their labels sit at least 48 px apart."""
     csv = tmp_path / "deep.csv"
     csv.write_text(
-        CSV_HEADER
+        HEADER
         + "\n150.0,helstrom,,,,,5e-324,,,,analytic,\n1.5e308,helstrom,,,,,1e-300,,,,analytic,\n"
     )
     svg = render_svg(read_csv(csv)[1])
@@ -530,7 +540,7 @@ def test_plot_bad_header_exit_4(tmp_path, capsys):
 )
 def test_plot_bad_value_exit_4(tmp_path, capsys, row):
     bad = tmp_path / "bad.csv"
-    bad.write_text(CSV_HEADER + "\n" + row + "\n")
+    bad.write_text(HEADER + "\n" + row + "\n")
     assert cli.main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 4
     assert "line 2:" in capsys.readouterr().err
 
@@ -542,7 +552,7 @@ def test_plot_missing_file_exit_4(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "data, line",
-    [(b"\xff\xfe\x00bad", 1), (b"# a=1\r\n" + CSV_HEADER.encode() + b"\r\n1.0,hel\xe9strom", 3)],
+    [(b"\xff\xfe\x00bad", 1), (b"# a=1\r\n" + HEADER.encode() + b"\r\n1.0,hel\xe9strom", 3)],
     ids=["first-byte", "crlf-line-3"],
 )
 def test_plot_non_utf8_input_exit_4(tmp_path, capsys, data, line):
@@ -633,7 +643,7 @@ def test_csv_line_endings_and_utf8_bytes(tmp_path):
     lf = tmp_path / "lf.csv"
     write_csv(lf, rows, metadata={"note": "\u03b7 = 0.9", "scale": "log"})
     data = lf.read_bytes()
-    assert data.startswith(b"# note=\xce\xb7 = 0.9\n# scale=log\n" + CSV_HEADER.encode() + b"\n")
+    assert data.startswith(b"# note=\xce\xb7 = 0.9\n# scale=log\n" + HEADER.encode() + b"\n")
     assert data.endswith(b"\n") and b"\r" not in data
     expected = read_csv(lf)
     assert expected == ({"note": "\u03b7 = 0.9", "scale": "log"}, rows)
@@ -652,9 +662,12 @@ def test_csv_numpy_floats_write_the_same_bytes(tmp_path):
     assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "py.csv").read_bytes()
 
 
-def test_csv_row_contract():
-    assert ",".join(CsvRow._fields) == CSV_HEADER
+def test_csv_row_contract(tmp_path):
+    """The header line that `write_csv` writes is the field names of
+    `CsvRow`, and a row cannot be assigned."""
     row = _one_row_per_tag()[0]
+    write_csv(tmp_path / "one.csv", [row])
+    assert (tmp_path / "one.csv").read_text().splitlines()[0] == ",".join(CsvRow._fields)
     with pytest.raises(AttributeError):
         row.p_error = 0.0
 
@@ -669,7 +682,7 @@ def test_csv_detector_column_masking(tmp_path):
 
 def test_csv_rejects_unknown_tag(tmp_path):
     path = tmp_path / "tag.csv"
-    path.write_text(CSV_HEADER + "\n0.5,warpdrive,,,,,0.1,,,,analytic,\n")
+    path.write_text(HEADER + "\n0.5,warpdrive,,,,,0.1,,,,analytic,\n")
     with pytest.raises(CsvFormatError) as err:
         read_csv(path)
     assert err.value.line == 2
@@ -680,7 +693,7 @@ def test_csv_rejects_unknown_provenance(tmp_path):
     """Only "analytic" and "montecarlo" are written; "fock" is not one."""
     path = tmp_path / "prov.csv"
     for tag in ("guess", "fock"):
-        path.write_text(CSV_HEADER + f"\n0.5,helstrom,,,,,0.1,,,,{tag},\n")
+        path.write_text(HEADER + f"\n0.5,helstrom,,,,,0.1,,,,{tag},\n")
         with pytest.raises(CsvFormatError, match=f"unknown provenance '{tag}'") as err:
             read_csv(path)
         assert err.value.line == 2
@@ -697,7 +710,7 @@ def test_csv_rejects_missing_header(tmp_path, text, line):
 
 def test_csv_rejects_wrong_column_count(tmp_path):
     path = tmp_path / "cols.csv"
-    path.write_text(CSV_HEADER + "\n0.5,helstrom,0.1\n")
+    path.write_text(HEADER + "\n0.5,helstrom,0.1\n")
     with pytest.raises(CsvFormatError) as err:
         read_csv(path)
     assert err.value.line == 2
@@ -705,14 +718,14 @@ def test_csv_rejects_wrong_column_count(tmp_path):
 
 def test_csv_rejects_blank_required_field(tmp_path):
     path = tmp_path / "blank.csv"
-    path.write_text(CSV_HEADER + "\n,helstrom,,,,,0.1,,,,analytic,\n")
+    path.write_text(HEADER + "\n,helstrom,,,,,0.1,,,,analytic,\n")
     with pytest.raises(CsvFormatError):
         read_csv(path)
 
 
 def test_csv_line_numbers_count_metadata_lines(tmp_path):
     path = tmp_path / "meta.csv"
-    path.write_text("# a=1\n# b=2\n" + CSV_HEADER + "\n0.5,helstrom,,,,,nan?,,,,analytic,\n")
+    path.write_text("# a=1\n# b=2\n" + HEADER + "\n0.5,helstrom,,,,,nan?,,,,analytic,\n")
     with pytest.raises(CsvFormatError) as err:
         read_csv(path)
     assert err.value.line == 4
@@ -728,7 +741,7 @@ def test_csv_names_the_bad_column(tmp_path, col, text, problem):
     good = "0.5,type2_imperfect,0.9,0.001,0.95,0.97,0.1,0.2,0.3,0.4,montecarlo,0.01".split(",")
     bad = [text if name == col else value for name, value in zip(CsvRow._fields, good)]
     path = tmp_path / "bad.csv"
-    path.write_text("\n".join(["# a=1", "# b=2", CSV_HEADER, ",".join(good), ",".join(bad), ""]))
+    path.write_text("\n".join(["# a=1", "# b=2", HEADER, ",".join(good), ",".join(bad), ""]))
     with pytest.raises(CsvFormatError) as err:
         read_csv(path)
     assert str(err.value) == f"line 5: column '{col}' {problem}: '{text}'"

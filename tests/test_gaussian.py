@@ -19,46 +19,90 @@ from bpskrx.gaussian import (
     GaussianState,
     SymplecticOp,
     _block_diag,
+    _gate_block,
     _schur,
     apply_gaussian_unitary,
-    beamsplitter,
     binary_conditional_output,
-    coherent_state,
     condition_on_partial_measurement,
-    measurement_cov,
-    phase_rotation,
     pure_normal_form,
     random_symplectic,
-    squeezer,
     symplectic_form,
-    tensor,
     vacuum,
 )
-from bpskrx.optimize import bayes_error_from_contrast, contrast_factor
+from bpskrx.optimize import bayes_error_from_contrast, verify_gaussian_optimum
+
+# Textbook gates and states, built here without the library's gate code.
+
+
+def _beamsplitter(theta):
+    """[[c I, -s I], [s I, c I]] from ``eye(2)``: its zeros carry the signs
+    of c and s."""
+    c, s = math.cos(theta), math.sin(theta)
+    i2 = np.eye(2)
+    return np.block([[c * i2, -s * i2], [s * i2, c * i2]])
+
+
+def _rotation(phi):
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, s], [-s, c]])
+
+
+def _squeezer(r):
+    return np.diag([math.exp(-r), math.exp(r)])
+
+
+def _on_modes(n, modes, block):
+    """The 2n x 2n matrix that applies ``block`` to ``modes``, identity elsewhere."""
+    out = np.eye(2 * n)
+    idx = [k for m in modes for k in (2 * m, 2 * m + 1)]
+    out[np.ix_(idx, idx)] = block
+    return out
+
+
+def _signal_state(alpha, n=1):
+    """|alpha> in mode 0, vacuum in the other n - 1 modes."""
+    disp = np.zeros(2 * n)
+    disp[0] = math.sqrt(2.0) * alpha
+    return GaussianState(np.eye(2 * n), disp)
+
+
+def _meas_cov(r, phi):
+    """Covariance of the single-mode measurement (r, phi)."""
+    return GaussianMeasurementSpec.homodyne_stack([r], [phi]).cov
+
+
+def _landscape_point(alpha, r, phi):
+    """The landscape scan's point at (r, phi): sharpness e and Bayes error."""
+    (point,), _ = verify_gaussian_optimum(BinaryEnsemble(alpha), [r], [phi])
+    return point
 
 
 def test_vacuum_and_coherent():
+    """The vacuum is (I, 0); the signal |alpha> enters the binary output
+    with displacement [sqrt(2) alpha, 0]."""
     v = vacuum(2)
     assert np.array_equal(v.cov, np.eye(4))
     assert np.array_equal(v.disp, np.zeros(4))
-    c = coherent_state(1.5)
-    assert np.allclose(c.disp, [1.5 * math.sqrt(2), 0.0])
+    empty = GaussianMeasurementSpec(np.empty((0, 0)), np.empty(0))
+    out = binary_conditional_output(BinaryEnsemble(1.5), SymplecticOp(np.eye(2)), empty)
+    assert np.allclose(out.disp_signal, [1.5 * math.sqrt(2), 0.0])
 
 
 def test_balanced_beamsplitter_splits_amplitude():
     """|alpha> on a 50:50 splitter puts alpha/sqrt(2) in each arm."""
-    st = apply_gaussian_unitary(tensor(coherent_state(1.0), vacuum(1)), beamsplitter(math.pi / 4))
+    st = apply_gaussian_unitary(_signal_state(1.0, 2), SymplecticOp(_beamsplitter(math.pi / 4)))
     assert np.allclose(st.disp, [1.0, 0.0, 1.0, 0.0], atol=1e-15)
     assert np.allclose(st.cov, np.eye(4), atol=1e-15)
 
 
 def test_squeezer_convention():
-    st = apply_gaussian_unitary(vacuum(1), squeezer(0.7))
+    """The circuits' squeezer at r maps the vacuum to diag(exp(-2r), exp(2r))."""
+    st = apply_gaussian_unitary(vacuum(1), SymplecticOp(_gate_block("squeezer", 0.7)))
     assert np.allclose(st.cov, np.diag([math.exp(-1.4), math.exp(1.4)]))
 
 
 def test_rotation_is_symplectic_orthogonal():
-    s = phase_rotation(0.9).matrix
+    s = _gate_block("rotation", 0.9)
     assert np.allclose(s @ s.T, np.eye(2), atol=1e-15)
 
 
@@ -73,7 +117,7 @@ def test_dimension_mismatches_rejected():
     with pytest.raises(DimensionMismatchError):
         GaussianState(np.eye(2), np.zeros(4))
     with pytest.raises(DimensionMismatchError):
-        apply_gaussian_unitary(vacuum(2), squeezer(0.1, n_modes=1))
+        apply_gaussian_unitary(vacuum(2), SymplecticOp(np.eye(2)))
     with pytest.raises(DimensionMismatchError, match=r"shape \(0,\) is not 2n x 2n"):
         GaussianMeasurementSpec([], [])
 
@@ -119,18 +163,22 @@ def test_random_symplectic_stays_symplectic():
 
 
 def _layered_reference(n, rng):
-    """The circuit draw as a layer-by-layer composition of 3 n layers: each
-    gate's matrix multiplies the product so far from the left."""
+    """The circuit draw as a layer-by-layer composition of 3 n layers of
+    textbook gates: each gate's matrix multiplies the product so far from
+    the left."""
     s = np.eye(2 * n)
     for _ in range(3 * n):
         gates = []
         if n >= 2:
             i, j = rng.choice(n, size=2, replace=False)
-            gates.append(beamsplitter(rng.uniform(0.0, 2.0 * math.pi), n, (int(i), int(j))))
-        gates.append(phase_rotation(rng.uniform(0.0, 2.0 * math.pi), n, int(rng.integers(n))))
-        gates.append(squeezer(rng.uniform(0.0, 1.5), n, int(rng.integers(n))))
+            block = _beamsplitter(rng.uniform(0.0, 2.0 * math.pi))
+            gates.append(_on_modes(n, (int(i), int(j)), block))
+        block = _rotation(rng.uniform(0.0, 2.0 * math.pi))  # angle, then mode
+        gates.append(_on_modes(n, (int(rng.integers(n)),), block))
+        block = _squeezer(rng.uniform(0.0, 1.5))
+        gates.append(_on_modes(n, (int(rng.integers(n)),), block))
         for g in gates:
-            s = g.matrix @ s
+            s = g @ s
     return s
 
 
@@ -146,12 +194,10 @@ def test_random_symplectic_pins_draw_and_product_order(n):
 
 @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2, 2.5, math.pi, 4.0, 5.9])
 def test_beamsplitter_block_equals_block_form_bitwise(theta):
-    """The beamsplitter matrix is [[c I, -s I], [s I, c I]] built from
-    ``eye(2)``, zeros' sign bits included."""
-    c, s = math.cos(theta), math.sin(theta)
-    i2 = np.eye(2)
-    ref = np.block([[c * i2, -s * i2], [s * i2, c * i2]])
-    got = beamsplitter(theta).matrix
+    """The circuits' beamsplitter block is [[c I, -s I], [s I, c I]] built
+    from ``eye(2)``, zeros' sign bits included."""
+    ref = _beamsplitter(theta)
+    got = _gate_block("beamsplitter", theta)
     assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
@@ -178,8 +224,6 @@ def test_block_diag_equals_scipy_bitwise():
 
 
 def test_empty_direct_sums_rejected():
-    with pytest.raises(ValueError, match="states is empty"):
-        tensor()
     with pytest.raises(ValueError, match="rs and phis give none"):
         GaussianMeasurementSpec.homodyne_stack([], [])
 
@@ -190,7 +234,7 @@ def test_measurement_is_its_seed_state():
     meas = GaussianMeasurementSpec.homodyne_stack([1.0, 0.5], [0.0, 0.7], (0.1, 0.2, -0.3, 0.4))
     assert isinstance(meas, GaussianState) and meas.n_modes == 2
     assert np.array_equal(meas.disp, [0.1, 0.2, -0.3, 0.4])
-    assert np.array_equal(meas.cov, _block_diag([measurement_cov(1.0, 0.0), measurement_cov(0.5, 0.7)]))
+    assert np.array_equal(meas.cov, _block_diag([_meas_cov(1.0, 0.0), _meas_cov(0.5, 0.7)]))
     assert np.array_equal(GaussianMeasurementSpec.homodyne_stack([1.0], [0.0]).disp, [0.0, 0.0])
     with pytest.raises(ValueError, match="measurement covariance violates the uncertainty"):
         GaussianMeasurementSpec(0.5 * np.eye(2), np.zeros(2))
@@ -207,14 +251,14 @@ def test_measurement_cov_det_one():
     rng = np.random.default_rng(11)
     for _ in range(200):
         r, phi = rng.uniform(0, 2.5), rng.uniform(0, 2 * math.pi)
-        assert abs(np.linalg.det(measurement_cov(r, phi)) - 1.0) < 1e-9
-    assert np.array_equal(measurement_cov(0.0, 1.3), np.eye(2))
-    assert np.allclose(measurement_cov(1.0, 0.0), np.diag([math.exp(-2), math.exp(2)]))
+        assert abs(np.linalg.det(_meas_cov(r, phi)) - 1.0) < 1e-9
+    assert np.array_equal(_meas_cov(0.0, 1.3), np.eye(2))
+    assert np.allclose(_meas_cov(1.0, 0.0), np.diag([math.exp(-2), math.exp(2)]))
 
 
 def _random_pure_state(n, rng, alpha=0.7):
     op = random_symplectic(n, rng)
-    return apply_gaussian_unitary(tensor(coherent_state(alpha), vacuum(n - 1)), op)
+    return apply_gaussian_unitary(_signal_state(alpha, n), op)
 
 
 def test_condition_zero_modes_is_passthrough():
@@ -226,7 +270,7 @@ def test_condition_zero_modes_is_passthrough():
 
 def test_condition_product_state_leaves_kept_mode_alone():
     """Measuring an uncorrelated mode must not touch the kept one (C = 0)."""
-    st = tensor(coherent_state(0.5), coherent_state(-0.3))
+    st = GaussianState(np.eye(4), [math.sqrt(2.0) * 0.5, 0.0, math.sqrt(2.0) * -0.3, 0.0])
     meas = GaussianMeasurementSpec.homodyne_stack([1.0], [0.0], (0.2, -0.4))
     out = condition_on_partial_measurement(st, 1, meas)
     assert np.allclose(out.cov, np.eye(2), atol=1e-15)
@@ -235,7 +279,7 @@ def test_condition_product_state_leaves_kept_mode_alone():
 
 def test_condition_covariance_outcome_independent():
     st = _random_pure_state(3, np.random.default_rng(21))
-    mc = measurement_cov(1.2, 0.4)
+    mc = _meas_cov(1.2, 0.4)
     cov_big = np.kron(np.eye(2), mc)  # two independent identical measurements
     a = condition_on_partial_measurement(st, 1, GaussianMeasurementSpec(cov_big, np.array([1.0, 0, -2.0, 3.0])))
     b = condition_on_partial_measurement(st, 1, GaussianMeasurementSpec(cov_big, np.zeros(4)))
@@ -249,7 +293,7 @@ def test_condition_density_normalized():
     through a single Cholesky factor of the outcome covariance; 200 seeded
     grid points check it against `condition_on_partial_measurement`."""
     st = _random_pure_state(2, np.random.default_rng(5))
-    mc = measurement_cov(6.0, 0.0)
+    mc = _meas_cov(6.0, 0.0)
     m = st.cov[2:, 2:] + mc
     w, v = np.linalg.eigh(m)
     n1 = 161
@@ -271,7 +315,7 @@ def test_condition_density_normalized():
 
 
 def test_condition_singular_guard():
-    st = tensor(vacuum(1), vacuum(1))
+    st = vacuum(2)
     bad = GaussianMeasurementSpec(np.diag([1e14, 1e-14]), np.zeros(2))
     with pytest.raises(SingularMatrixError):
         condition_on_partial_measurement(st, 1, bad)
@@ -334,7 +378,7 @@ def test_binary_output_matches_direct_conditioning():
             (1.0, out.state_plus, out.weight_plus),
             (-1.0, out.state_minus, out.weight_minus),
         ):
-            fed = apply_gaussian_unitary(tensor(coherent_state(sign * ens.alpha), vacuum(1)), op)
+            fed = apply_gaussian_unitary(_signal_state(sign * ens.alpha, 2), op)
             ref = condition_on_partial_measurement(fed, keep, meas)
             assert np.allclose(state.cov, ref.cov, atol=1e-12)
             assert np.allclose(state.disp, ref.disp, atol=1e-12)
@@ -344,7 +388,7 @@ def test_binary_output_matches_direct_conditioning():
 
 def test_binary_output_no_measurement():
     ens = BinaryEnsemble(0.5)
-    op = beamsplitter(math.pi / 4)
+    op = SymplecticOp(_beamsplitter(math.pi / 4))
     out = binary_conditional_output(ens, op, GaussianMeasurementSpec(np.empty((0, 0)), np.empty(0)))
     assert out.weight_plus == out.weight_minus == 0.5
     assert np.allclose(out.disp_signal, [0.5, 0, 0.5, 0])
@@ -437,15 +481,16 @@ def test_pure_normal_form_deterministic():
 
 
 def test_contrast_factor():
-    assert contrast_factor(0.0, 0.0) == 0.5
-    assert contrast_factor(math.inf, 0.0) == 1.0
-    assert contrast_factor(math.inf, math.pi) == pytest.approx(0.0, abs=1e-15)
+    """The landscape's sharpness factor e(r, phi)."""
+    assert _landscape_point(1.0, 0.0, 0.0).e == 0.5
+    assert _landscape_point(1.0, math.inf, 0.0).e == 1.0
+    assert _landscape_point(1.0, math.inf, math.pi).e == pytest.approx(0.0, abs=1e-15)
     last = 0.0
     for r in np.linspace(0.0, 6.0, 25):
-        e = contrast_factor(float(r), 0.0)
+        e = _landscape_point(1.0, float(r), 0.0).e
         assert e >= last  # sharper squeezing never hurts at phi = 0
         last = e
-        assert contrast_factor(float(r), math.pi) <= 0.5 + 1e-15
+        assert _landscape_point(1.0, float(r), math.pi).e <= 0.5 + 1e-15
 
 
 def test_bayes_error_values():
@@ -455,7 +500,7 @@ def test_bayes_error_values():
     assert bayes_error_from_contrast(ens, 1.0) == pytest.approx(0.5 * erfc(math.sqrt(2)), abs=1e-16)
     # r = 0 erases the phi dependence entirely: e = 1/2 exactly, so the call
     # is libm's erfc(0.7)/2 bit for bit (scipy's erfc is 6e-17 above it)
-    assert bayes_error_from_contrast(BinaryEnsemble(0.7), contrast_factor(0.0, 1.3)) == 0.5 * math.erfc(0.7)
+    assert _landscape_point(0.7, 0.0, 1.3).p_error == 0.5 * math.erfc(0.7)
     assert bayes_error_from_contrast(BinaryEnsemble(0.0), 1.0) == 0.5
     assert bayes_error_from_contrast(ens, 0.0) == 0.5
 
@@ -471,7 +516,7 @@ def test_bayes_error_monotone_in_sharpness():
     "alpha, r, phi", [(0.5, 0.0, 0.0), (0.8, 0.5, 0.7), (0.3, 1.2, 2.5), (1.0, 2.0, 0.0)]
 )
 def test_bayes_error_integrates_outcome_densities(alpha, r, phi):
-    """The Bayes error of the measurement ``measurement_cov(r, phi)`` is the
+    """The Bayes error of the single-mode measurement (r, phi) is the
     integral of min(rho_+, rho_-) / 2 over the outcome plane, where rho_pm
     are the outcome densities of |+-alpha> (cross-checked against
     `condition_on_partial_measurement` at 20 seeded grid points).
@@ -479,7 +524,7 @@ def test_bayes_error_integrates_outcome_densities(alpha, r, phi):
     The grid runs along the eigenvectors of the outcome covariance; 401
     points per axis bring simpson's rule within 1e-5 relative of the exact
     value, where a sharpness e in place of sqrt(e) is off by 4% or more."""
-    gm = measurement_cov(r, phi)
+    gm = _meas_cov(r, phi)
     m = np.eye(2) + gm
     w, v = np.linalg.eigh(m)
     axes = [np.linspace(-10 * math.sqrt(wi) - 2 * alpha, 10 * math.sqrt(wi) + 2 * alpha, 401) for wi in w]
@@ -491,9 +536,9 @@ def test_bayes_error_integrates_outcome_densities(alpha, r, phi):
         for d in (mu, -mu)
     ]
     for k in np.random.default_rng(6).choice(len(grid), 20, replace=False):
-        lib = condition_on_partial_measurement(coherent_state(alpha), 0, GaussianMeasurementSpec(gm, grid[k]))
+        lib = condition_on_partial_measurement(_signal_state(alpha), 0, GaussianMeasurementSpec(gm, grid[k]))
         assert abs(lib.density - rho[0][k]) <= 1e-12 * lib.density
     vals = (0.5 * np.minimum(*rho)).reshape(len(axes[0]), len(axes[1]))
     total = simpson(simpson(vals, x=axes[1], axis=1), x=axes[0])
-    p = bayes_error_from_contrast(BinaryEnsemble(alpha), contrast_factor(r, phi))
+    p = _landscape_point(alpha, r, phi).p_error
     assert abs(total - p) <= 1e-5 * p

@@ -13,7 +13,6 @@ from bpskrx.montecarlo import (
     _PLUS,
     McConfig,
     McEstimate,
-    derive_point_seed,
     simulate_type2,
     sweep_montecarlo,
 )
@@ -21,6 +20,12 @@ from bpskrx.optimize import solve_type2_gamma_imperfect
 from bpskrx.receivers import mean_intensity, type2_imperfect_error
 
 FIG4_DETECTOR = DetectorModel(eta=0.9, nu=1e-3, tau=0.99, xi=0.995)
+
+
+def _point_seed(master_seed, index):
+    """The seed of sweep point ``index``: the first 64-bit word of
+    ``SeedSequence([master_seed, index])``."""
+    return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
 def _config(alpha, detector, trials=100000, seed=20260814, gamma=None):
@@ -153,7 +158,7 @@ def test_sweep_single_point_equals_direct_call():
     template = _config(1.0, FIG4_DETECTOR, trials=5000, seed=11, gamma=123.0)
     swept = sweep_montecarlo([0.5], template)[0]
     direct = simulate_type2(
-        _config(math.sqrt(0.5), FIG4_DETECTOR, trials=5000, seed=derive_point_seed(11, 0))
+        _config(math.sqrt(0.5), FIG4_DETECTOR, trials=5000, seed=_point_seed(11, 0))
     )
     assert swept == direct
 
@@ -163,10 +168,15 @@ def test_sweep_rejects_empty_grid():
         sweep_montecarlo([], _config(1.0, FIG4_DETECTOR))
 
 
-def test_derive_point_seed_spreads():
-    seeds = {derive_point_seed(20260814, i) for i in range(100)}
-    assert len(seeds) == 100
-    assert derive_point_seed(20260814, 0) == derive_point_seed(20260814, 0)
+def test_sweep_point_seeds_spread():
+    """Point i of a sweep runs on the seed of ``SeedSequence([master, i])``,
+    which its estimate carries; 100 points get 100 distinct seeds, and a
+    rerun gets the same ones."""
+    template = _config(1.0, FIG4_DETECTOR, trials=2, seed=20260814)
+    seeds = [est.config.seed for est in sweep_montecarlo(np.linspace(0.1, 1.0, 100), template)]
+    assert seeds == [_point_seed(20260814, i) for i in range(100)]
+    assert len(set(seeds)) == 100
+    assert seeds == [est.config.seed for est in sweep_montecarlo(np.linspace(0.1, 1.0, 100), template)]
 
 
 @pytest.mark.parametrize("p_plus", [0.5])

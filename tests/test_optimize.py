@@ -15,18 +15,11 @@ from bpskrx.core import (
     UnsupportedConfigurationError,
 )
 from bpskrx.fock import receiver_error_fock
-from bpskrx.gaussian import (
-    apply_gaussian_unitary,
-    beamsplitter,
-    coherent_state,
-    squeezer,
-    tensor,
-    vacuum,
-)
+from bpskrx.gaussian import GaussianState, SymplecticOp, apply_gaussian_unitary
 from bpskrx.optimize import (
+    _newton,
     _solve_gamma,
     bayes_error_from_contrast,
-    contrast_factor,
     displaced_squeezed_error,
     solve_type1_params,
     solve_type2_gamma,
@@ -100,6 +93,50 @@ def test_type2_imperfect_zero_alpha_limit():
 def test_type2_imperfect_rejects_dead_detector():
     with pytest.raises(UnsupportedConfigurationError):
         solve_type2_gamma_imperfect(0.5, DetectorModel(eta=0.0))
+
+
+# --- the safeguarded Newton behind both roots (the w tanh w = c inversion
+# and the type1 solve): its typed failures ---
+
+
+def test_newton_nan_raises_convergence_error():
+    fdf = lambda x: (math.nan if 0.4 < x < 0.6 else x - 0.5, 1.0)
+    with pytest.raises(ConvergenceError, match="NaN") as exc:
+        _newton(fdf, 0.0, 1.0, 0.0)
+    assert exc.value.best == 0.0  # the last iterate with a finite f
+    with pytest.raises(ConvergenceError, match="NaN at an end") as exc:
+        _newton(fdf, 0.5, 1.0, 1.0)
+    assert exc.value.best is None
+
+
+def test_newton_maxiter_raises_convergence_error():
+    """A step at 1e-300 gives Newton no slope, so every step bisects, and
+    about 1,000 halvings would reach it; the solve stops at 100 steps."""
+    fdf = lambda x: (-1.0 if x < 1e-300 else 1.0, 0.0)
+    with pytest.raises(ConvergenceError, match="after 100 Newton steps") as exc:
+        _newton(fdf, 0.0, 1.0, 1.0)
+    assert 0.0 < exc.value.best < 1.0
+
+
+def test_newton_same_sign_raises_convergence_error():
+    with pytest.raises(ConvergenceError, match="same sign") as exc:
+        _newton(lambda x: (x * x + 1.0, 2.0 * x), 0.0, 1.0, 0.5)
+    assert exc.value.best is None
+
+
+def test_newton_converged_step_onto_a_bracket_end_returns():
+    """The stopping test comes before the bracket test: a step below 4 eps
+    relative returns even where it lands on an end of the bracket, here
+    the start 1.0, which the first step moves by 1e-20; a bisection would
+    have gone to 1.5."""
+    calls = []
+
+    def fdf(x):
+        calls.append(x)
+        return x - 1.0 - 1e-20, 1.0
+
+    assert _newton(fdf, 1.0, 2.0, 1.0) == (1.0, 1)
+    assert calls == [1.0, 2.0, 1.0]
 
 
 def _mp_gamma(alpha, eta, tau, xi):
@@ -360,26 +397,38 @@ def _contrast_formula(r, phi):
     return (1.0 + ch + sh * math.cos(phi)) / (2.0 * (1.0 + ch))
 
 
+def _sharpness(r, phi):
+    """The sharpness e of the landscape scan's point at (r, phi)."""
+    (point,), _ = verify_gaussian_optimum(BinaryEnsemble(1.0), [r], [phi])
+    return point.e
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+r", "-r"])
 def test_contrast_factor_signed_limit(sign):
     """Once the formula's denominator overflows (|r| > 354.89, where it
-    would give 0 or NaN) and at r = +-inf the factor is the signed limit
-    (1 +- cos phi)/2, which the finite formula approaches."""
+    would give 0 or NaN) and at r = +-inf the landscape's sharpness factor
+    is the signed limit (1 +- cos phi)/2, which the finite formula
+    approaches."""
     for phi in PHIS:
         limit = 0.5 * (1.0 + sign * math.cos(phi))
         for r in (355.0, 356.0, 400.0, 1e300, math.inf):
-            assert contrast_factor(sign * r, phi) == limit
-        assert contrast_factor(sign * 20.0, phi) == pytest.approx(limit, abs=1e-15)
-    assert contrast_factor(-math.inf, 0.0) == 0.0 == contrast_factor(-20.0, 0.0)
+            assert _sharpness(sign * r, phi) == limit
+        assert _sharpness(sign * 20.0, phi) == pytest.approx(limit, abs=1e-15)
+    assert _sharpness(-math.inf, 0.0) == 0.0 == _sharpness(-20.0, 0.0)
 
 
 def test_contrast_factor_finite_formula_unchanged():
-    """Wherever the formula's denominator is finite the result is the
-    formula's, bit for bit: the limit only fills in where it overflows."""
-    for r in [*np.linspace(-354.0, 354.0, 2001), 354.89, -354.89]:
-        for phi in PHIS:
-            assert contrast_factor(float(r), phi) == _contrast_formula(float(r), phi)
-    assert math.isnan(contrast_factor(1.0, math.nan))
+    """Wherever the formula's denominator is finite the landscape's
+    sharpness is the formula's, bit for bit: the limit only fills in where
+    it overflows. A NaN angle gives a NaN sharpness, which the landscape
+    point refuses."""
+    rs = [*map(float, np.linspace(-354.0, 354.0, 2001)), 354.89, -354.89]
+    points, _ = verify_gaussian_optimum(BinaryEnsemble(1.0), rs, PHIS)
+    assert len(points) == len(rs) * len(PHIS)
+    for p in points:
+        assert p.e == _contrast_formula(p.r, p.phi)
+    with pytest.raises(ValueError, match="sharpness e = nan outside"):
+        verify_gaussian_optimum(BinaryEnsemble(1.0), [1.0], [math.nan])
 
 
 def test_landscape_huge_r_finds_corner():
@@ -435,14 +484,16 @@ def test_type1_optima_match_gaussian_layer():
     Gaussian layer, reproduces the closed form at the solved optimum."""
     nu = 1e-3
     for eta in (0.05, 0.01, 1e-3):
-        loss = beamsplitter(math.acos(math.sqrt(eta)), 2, (0, 1))
+        c, s = math.sqrt(eta), math.sqrt(1.0 - eta)  # [[c I, -s I], [s I, c I]]
+        loss = SymplecticOp([[c, 0, -s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, s, 0, c]])
         for alpha_sq in np.geomspace(1e-3, 20.0, 12):
             alpha = math.sqrt(alpha_sq)
             beta, r = solve_type1_params(alpha, eta).value
             p_off = []
             for sign in (1.0, -1.0):
-                state = tensor(coherent_state(beta + sign * alpha), vacuum(1))
-                state = apply_gaussian_unitary(state, squeezer(-r, 2, 0))
+                state = GaussianState(np.eye(4), [math.sqrt(2.0) * (beta + sign * alpha), 0, 0, 0])
+                squeeze = SymplecticOp(np.diag([math.exp(r), math.exp(-r), 1.0, 1.0]))
+                state = apply_gaussian_unitary(state, squeeze)
                 state = apply_gaussian_unitary(state, loss)
                 v, d = state.cov[:2, :2] + np.eye(2), state.disp[:2]
                 vac = 2.0 / math.sqrt(np.linalg.det(v)) * math.exp(-d @ np.linalg.solve(v, d))

@@ -59,6 +59,29 @@ def test_homodyne_attenuated():
     assert got > homodyne_limit(BinaryEnsemble(1.0))
 
 
+def test_erfc_relative_accuracy_against_mpmath():
+    """`homodyne_limit` is libm's erfc(sqrt(2) alpha)/2. Against 200-bit
+    mpmath at the argument it passes, it stays within 1e-15 relative down
+    to erfc(26.5) ~ 1e-307 (worst seen: 3.1e-16); past that, where erfc
+    goes subnormal, within 4 units of the smallest subnormal, and nonzero
+    wherever the true value is above them."""
+    mpmath = pytest.importorskip("mpmath")
+    edge = math.sqrt(2.0)
+    alphas = np.concatenate([np.linspace(0.0, 26.5 / edge, 8001), np.logspace(-300.0, -1.0, 500)])
+    ulp = 5e-324
+    with mpmath.workprec(200):
+        exact = lambda a: mpmath.erfc(mpmath.mpf(math.sqrt(2.0) * a)) / 2
+        worst = max(
+            abs(mpmath.mpf(homodyne_limit(BinaryEnsemble(a))) / exact(a) - 1)
+            for a in map(float, alphas)
+        )
+        for a in map(float, np.linspace(26.5 / edge, 27.3 / edge, 801)):
+            p, ref = homodyne_limit(BinaryEnsemble(a)), exact(a)
+            assert abs(p - ref) <= 4 * ulp, a
+            assert p > 0.0 or ref < 4 * ulp, a
+    assert worst <= 1e-15
+
+
 def test_kennedy_ideal_closed_form():
     for alpha in (0.2, 0.5, 1.0, 1.5):
         res = kennedy_error(BinaryEnsemble(alpha))

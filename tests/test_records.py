@@ -7,6 +7,7 @@ and a record with a check refuses a bad value with the same message whether
 it is passed by position or by keyword.
 """
 
+import numpy as np
 import pytest
 
 from bpskrx.core import BinaryEnsemble, DetectorModel, ReceiverResult
@@ -16,10 +17,9 @@ from bpskrx.gaussian import (
     GaussianMeasurementSpec,
     GaussianState,
     SymplecticOp,
-    beamsplitter,
     binary_conditional_output,
     condition_on_partial_measurement,
-    squeezer,
+    random_symplectic,
     vacuum,
 )
 from bpskrx.montecarlo import McConfig, McEstimate
@@ -30,6 +30,7 @@ DET = DetectorModel(0.9, 1e-3, 0.95, 0.98)
 CONFIG = McConfig(10, 1, ENS, DET, 0.5)
 POINT = LandscapePoint(1.0, 0.0, 0.5, 0.1)
 MEAS = GaussianMeasurementSpec.homodyne_stack([1.0], [0.3], [0.2, -0.1])
+OP = random_symplectic(2, np.random.default_rng(4))
 
 #: record -> (field names, a valid instance)
 RECORDS = {
@@ -48,14 +49,14 @@ RECORDS = {
     McEstimate: (("config", "errors"), McEstimate(CONFIG, 3)),
     GaussianState: (("cov", "disp"), vacuum(1)),
     GaussianMeasurementSpec: (("cov", "disp"), MEAS),
-    SymplecticOp: (("matrix",), squeezer(0.4)),
+    SymplecticOp: (("matrix",), OP),
     ConditionedState: (
         ("cov", "disp", "density"), condition_on_partial_measurement(vacuum(2), 1, MEAS)
     ),
     ConditionalOutput: (
         ("state_plus", "state_minus", "weight_plus", "weight_minus", "shared_cov",
          "disp_signal", "disp_offset"),
-        binary_conditional_output(ENS, beamsplitter(0.4), MEAS),
+        binary_conditional_output(ENS, OP, MEAS),
     ),
 }
 
