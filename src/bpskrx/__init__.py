@@ -8,8 +8,8 @@ each name is imported from the module that defines it:
 - ``optimize``: the root solvers, the squeeze-displace closed form and the
   Gaussian-measurement landscape;
 - ``fock`` (number-basis oracle), ``gaussian`` (multimode Gaussian algebra),
-  ``montecarlo`` (click simulation), ``sweepio`` (CSV), ``svgplot`` (SVG
-  chart) and ``cli`` (the ``bpskrx`` console script).
+  ``montecarlo`` (click simulation), ``sweepio`` (CSV and file writes),
+  ``svgplot`` (SVG chart) and ``cli`` (the ``bpskrx`` console script).
 """
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from .core import (
 )
 from .optimize import solve_type1_params, solve_type2_gamma, verify_gaussian_optimum
 from .receivers import RECEIVERS, coupled_tag
-from .sweepio import read_csv, row_from_result, write_csv
+from .sweepio import read_csv, row_from_result, write_csv, write_text
 from .svgplot import render_svg
 
 __all__ = ["main"]
@@ -98,11 +98,6 @@ def _usage(build, **kwargs):
         return build(**kwargs)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def _save(path, write, *args) -> int:
@@ -231,7 +226,7 @@ def _cmd_verify_gaussian(args) -> int:
         lines += [
             f"{p.r!r},{p.phi!r},{p.e!r},{p.p_error!r}" for p in points
         ]
-        if _save(args.out, _write_text, "\n".join(lines) + "\n"):
+        if _save(args.out, write_text, "\n".join(lines) + "\n"):
             return 2
     verdict = "DEGENERATE" if summary.degenerate else ("PASS" if summary.optimal else "FAIL")
     print(f"argmin at (r_max, phi=0): {verdict} ({summary.note})")
@@ -286,7 +281,7 @@ def _cmd_plot(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 4
         rows.extend(file_rows)
-    return _save(args.out, _write_text, render_svg(rows))
+    return _save(args.out, write_text, render_svg(rows))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -230,6 +230,10 @@ def _w_tanh_w_inverse(c: float) -> tuple[float, int]:
     return _newton(fdf, lo, hi, hi if c < 1.0 else lo)
 
 
+def _type1_failed(alpha: float, eta: float) -> str:
+    return f"stationarity solve failed for alpha={alpha}, eta={eta}"
+
+
 def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
     """Jointly optimal displacement and squeezing of the squeeze-assisted
     photon receiver.
@@ -257,7 +261,6 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
     alpha4, eta2 = 4.0 * alpha, 2.0 - eta  # products as Python groups them
     a4, k = alpha4 * alpha, eta2 / eta
     eta_a4, tanh, exp, expm1 = eta * a4, math.tanh, math.exp, math.expm1
-    failed = f"stationarity solve failed for alpha={alpha}, eta={eta}"
 
     def reduced(w: float) -> tuple[float, float]:
         t = tanh(w)
@@ -279,13 +282,14 @@ def solve_type1_params(alpha: float, eta: float = 1.0) -> RootResult:
         w0 = _w_tanh_w_inverse(a4 / (1.0 + k))[0]  # r = 0
         w, iterations = _newton(reduced, w_lo, w_hi, min(max(w0, w_lo), w_hi))
     except ConvergenceError as exc:
-        raise ConvergenceError(f"{failed}: {exc}") from exc
+        raise ConvergenceError(f"{_type1_failed(alpha, eta)}: {exc}") from exc
     c = w * math.tanh(w)
     beta, r = alpha / math.tanh(w), 0.5 * math.log(k * (c / (a4 - c)))
     r1, r2 = type1_residuals(alpha, beta, r, eta)
     if not (abs(r1) < 1e-10 * max(1.0, alpha)
             and abs(r2) < 1e-10 * max(1.0, 4.0 * (alpha * alpha + beta * beta))):
-        raise ConvergenceError(f"{failed}: residuals ({r1:.3e}, {r2:.3e})", best=(beta, r))
+        raise ConvergenceError(
+            f"{_type1_failed(alpha, eta)}: residuals ({r1:.3e}, {r2:.3e})", best=(beta, r))
     return RootResult((beta, r), max(abs(r1), abs(r2)), iterations)
 
 

@@ -15,17 +15,27 @@ Metadata travels in ``#``-prefixed ``key=value`` lines before the header;
 readers skip any ``#`` line. No timestamps are written anywhere, so equal
 inputs give byte-equal files: UTF-8 with LF endings. The reader takes CRLF
 and lone CR endings as LF.
+
+Within one call each distinct cell is formatted, and each distinct text
+parsed, once: a file repeats alpha^2 on every row of a point and the
+detector values on most of them. The tables live only for that call. Two
+cells that compare equal share a text, except the zeros: 0.0 and -0.0 are
+one key but two texts, so a zero is never stored. A cell that cannot be
+hashed, such as a 0-d numpy array, is formatted on its own. A file's bytes
+move in ``os.write`` and ``os.read`` calls on a descriptor, with no
+buffered file object between.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from typing import NamedTuple
 
 from .core import PROVENANCES, CsvFormatError, ReceiverResult
 from .receivers import RECEIVERS
 
-__all__ = ["CsvRow", "row_from_result", "write_csv", "read_csv"]
+__all__ = ["CsvRow", "row_from_result", "write_csv", "read_csv", "write_text"]
 
 
 class CsvRow(NamedTuple):
@@ -45,6 +55,7 @@ class CsvRow(NamedTuple):
 
 _FIELDS = CsvRow._fields
 _CSV_HEADER = ",".join(_FIELDS)
+_O_BINARY = getattr(os, "O_BINARY", 0)  # Windows translates newlines without it
 _NUMERIC = tuple(i for i, col in enumerate(_FIELDS) if col not in ("receiver", "provenance"))
 #: Per receiver tag, whether its rows keep the eta, nu, tau and xi columns.
 _KEEP = {
@@ -68,24 +79,62 @@ def row_from_result(
     ))
 
 
+class _CellTexts(dict):
+    """One call's cell -> text table: a cell it lacks is formatted and
+    stored, except a zero, whose sign its key cannot hold."""
+
+    __slots__ = ()
+
+    def __missing__(self, cell):
+        text = cell if isinstance(cell, str) else repr(float(cell))
+        if cell:
+            self[cell] = text
+        return text
+
+
+def _cell_text(cell) -> str:
+    return "" if cell is None else cell if isinstance(cell, str) else repr(float(cell))
+
+
 def write_csv(path, rows, metadata: dict | None = None) -> None:
     """Write rows (UTF-8, LF endings) with ``#`` metadata lines up front."""
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}={value}")
+    lines = [f"# {key}={value}" for key, value in (metadata or {}).items()]
     lines.append(_CSV_HEADER)
-    lines += [
-        ",".join(["" if x is None else x if isinstance(x, str) else repr(float(x)) for x in row])
-        for row in rows
-    ]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(data)
+    text_of = _CellTexts({None: ""}).__getitem__
+    for row in rows:
+        try:
+            lines.append(",".join(map(text_of, row)))
+        except TypeError:  # an unhashable cell
+            lines.append(",".join([_cell_text(x) for x in row]))
+    write_text(path, "\n".join(lines) + "\n")
 
 
-def _parse_float(text: str, line_no: int, col: str) -> float | None:
-    if text == "":
-        return None
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8, newlines as given, creating or truncating
+    ``path`` as ``open(path, "w")`` does."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _O_BINARY, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
+def _read_bytes(path) -> bytes:
+    fd = os.open(path, os.O_RDONLY | _O_BINARY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as exc:  # a directory fails here; name it as open() does
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _parse_float(text: str, line_no: int, col: str) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -104,8 +153,7 @@ def read_csv(path) -> tuple[dict, list[CsvRow]]:
     tags or provenance.
     """
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+        text = _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:  # exc.object holds the whole file's bytes
         bad = exc.object[exc.start]
         line = len(exc.object[: exc.start + 1].splitlines())
@@ -114,6 +162,7 @@ def read_csv(path) -> tuple[dict, list[CsvRow]]:
     metadata: dict = {}
     rows: list[CsvRow] = []
     header_seen = False
+    values: dict = {"": None}  # text -> value, for this file
     for idx, line in enumerate(raw, start=1):
         if line == "" and idx == len(raw):
             break  # trailing newline
@@ -140,7 +189,11 @@ def read_csv(path) -> tuple[dict, list[CsvRow]]:
         if parts[10] not in PROVENANCES:
             raise CsvFormatError(f"unknown provenance {parts[10]!r}", idx)
         for i in _NUMERIC:  # the two text columns stay as read
-            parts[i] = _parse_float(parts[i], idx, _FIELDS[i])
+            text = parts[i]
+            if text in values:
+                parts[i] = values[text]
+            else:
+                parts[i] = values[text] = _parse_float(text, idx, _FIELDS[i])
         if parts[0] is None or parts[6] is None:
             raise CsvFormatError("alpha_sq and p_error must not be blank", idx)
         rows.append(tuple.__new__(CsvRow, parts))

@@ -567,16 +567,17 @@ def test_plot_non_utf8_input_exit_4(tmp_path, capsys, data, line):
     assert exc.value.line == line
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep", "--points", "3"],
-        ["verify-gaussian", "--alpha-sq", "0.25"],
-        ["montecarlo", "--points", "2", "--trials", "100"],
-        ["plot", "{tmp}/in.csv"],
-    ],
-    ids=lambda argv: argv[0],
-)
+#: One short run of each subcommand that takes ``--out``; plot reads
+#: ``{tmp}/in.csv``, which the test writes first.
+_OUT_ARGVS = [
+    ["sweep", "--points", "3"],
+    ["verify-gaussian", "--alpha-sq", "0.25"],
+    ["montecarlo", "--points", "2", "--trials", "100"],
+    ["plot", "{tmp}/in.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", _OUT_ARGVS, ids=lambda argv: argv[0])
 def test_unwritable_out_exit_2(tmp_path, capsys, argv):
     if argv[0] == "plot":
         assert cli.main(["sweep", "--points", "3", "--out", str(tmp_path / "in.csv")]) == 0
@@ -587,6 +588,22 @@ def test_unwritable_out_exit_2(tmp_path, capsys, argv):
     assert captured.err == f"error: {out}: {os.strerror(errno.ENOENT)}\n"
     assert captured.out == ""
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", _OUT_ARGVS, ids=lambda argv: argv[0])
+def test_out_is_a_directory_exit_2(tmp_path, capsys, argv):
+    """An ``--out`` that is an existing directory passes the up-front check
+    and is refused when the file is written, which leaves nothing behind."""
+    if argv[0] == "plot":
+        assert cli.main(["sweep", "--points", "3", "--out", str(tmp_path / "in.csv")]) == 0
+    out = tmp_path / "dir"
+    out.mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.EISDIR)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

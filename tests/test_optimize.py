@@ -267,6 +267,29 @@ def test_type1_damped_newton_step():
     assert res.iterations == 9
 
 
+def test_type1_failure_messages(monkeypatch):
+    """A failed type1 solve names its alpha and eta, ahead of the solver's
+    own message or of the residuals that the gate refused."""
+    from bpskrx import optimize
+
+    def refuse(*args):
+        raise ConvergenceError("no root")
+
+    monkeypatch.setattr(optimize, "_newton", refuse)
+    with pytest.raises(ConvergenceError) as exc:
+        solve_type1_params(0.5, 0.9)
+    assert str(exc.value) == "stationarity solve failed for alpha=0.5, eta=0.9: no root"
+    monkeypatch.undo()
+    monkeypatch.setattr(optimize, "type1_residuals", lambda *args: (2.5e-3, -1.0))
+    with pytest.raises(ConvergenceError) as exc:
+        solve_type1_params(0.5, 0.9)
+    assert str(exc.value) == (
+        "stationarity solve failed for alpha=0.5, eta=0.9: residuals (2.500e-03, -1.000e+00)"
+    )
+    monkeypatch.undo()
+    assert exc.value.best == solve_type1_params(0.5, 0.9).value
+
+
 @pytest.mark.parametrize(
     "call, exc, match",
     [
