@@ -219,7 +219,7 @@ def _cmd_verify_gaussian(args) -> int:
     points, summary = verify_gaussian_optimum(ensemble, args.r_grid, args.phi_grid)
     if args.out:
         lines = [
-            f"# tool=bpskrx verify-gaussian",
+            "# tool=bpskrx verify-gaussian",
             f"# alpha_sq={args.alpha_sq!r}",
             "r,phi,e,p_error",
         ]

@@ -121,16 +121,16 @@ def _expm_action(c: np.ndarray, k: int, psi: np.ndarray) -> np.ndarray:
     successive terms fall below unit round-off of the partial sum in the inf-norm;
     that norm is taken only once its running bound allows the stop.
 
-    ``c`` is one band for all rows, or one band per row with the largest last. Then
-    ``(m, s)`` and the stop test are those of the trailing rows that share the last
-    band, so these rows evolve bitwise as they would alone."""
+    ``c`` holds one band per row, the largest last. ``(m, s)`` and the stop test
+    are those of the rows that share the last band, so these rows evolve bitwise
+    as they would alone."""
     n = psi.shape[-1]
-    band = np.pad(c, [(0, 0)] * (c.ndim - 1) + [(k, k)])  # band[j] = G[j, j-k], band[j+k] = -G[j, j+k]
-    norm = float((np.abs(band[..., :n]) + np.abs(band[..., k:])).max())
+    band = np.pad(c, ((0, 0), (k, k)))  # band[j] = G[j, j-k], band[j+k] = -G[j, j+k]
+    norm = float((np.abs(band[:, :n]) + np.abs(band[:, k:])).max())
     costs = ((m, max(math.ceil(norm / theta), 1)) for m, theta in _THETA.items())
     m, s = min(costs, key=lambda ms: ms[0] * ms[1])
-    scaled = band / (s * np.arange(1.0, m + 1.0)).reshape((m,) + (1,) * c.ndim)
-    lead = len(psi) if c.ndim == 1 else int((c == c[-1]).all(axis=1).sum())
+    scaled = band / (s * np.arange(1.0, m + 1.0)).reshape((m, 1, 1))
+    lead = int((c == c[-1]).all(axis=1).sum())
     f = np.pad(psi, ((0, 0), (k, k)))  # zero pads of k make a matvec two slices
     term, nxt = np.zeros_like(f), np.zeros_like(f)
     prod, mag, col = np.empty_like(psi), np.empty((lead, f.shape[1])), np.empty(f.shape[1])
@@ -143,8 +143,8 @@ def _expm_action(c: np.ndarray, k: int, psi: np.ndarray) -> np.ndarray:
         c1 = bound = inf_norm(f)
         for j in range(m):
             out = nxt[:, k:-k]
-            np.multiply(scaled[j, ..., :n], term[:, :n], out=out)
-            np.multiply(scaled[j, ..., k:], term[:, 2 * k :], out=prod)
+            np.multiply(scaled[j, :, :n], term[:, :n], out=out)
+            np.multiply(scaled[j, :, k:], term[:, 2 * k :], out=prod)
             out -= prod
             term, nxt = nxt, term
             c2 = inf_norm(term)
@@ -184,8 +184,6 @@ def _error_at_dim(
         )
 
     def rows(c, k):
-        if len(dims) == 1:
-            return c
         cut = np.repeat(np.array(dims) + (PAD - k), 2)
         return np.where(np.arange(n - k) < cut[:, None], c, 0.0)
 

@@ -270,7 +270,7 @@ def _schur(g: np.ndarray, na: int, shift: np.ndarray, rhs: np.ndarray, what: str
     a, c = g[:na, :na], g[:na, na:]
     m = g[na:, na:] + shift
     if m.size == 0:
-        return 0.5 * (a + a.T), c.T, rhs, 0.0
+        return a, c.T, rhs, 0.0
     cond = np.linalg.cond(m)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrixError(f"{what} is numerically singular", float(cond))
@@ -319,14 +319,11 @@ def condition_on_partial_measurement(
         raise DimensionMismatchError(
             f"measurement covers {meas.n_modes} modes, state leaves {k} to measure"
         )
-    if k == 0:
-        return ConditionedState(state.cov, state.disp, 1.0)
     na = 2 * keep_modes
     v = state.disp[na:] - meas.disp
     cov_out, gain, w, logdet = _schur(state.cov, na, meas.cov, v[:, None], "B + gamma_M")
-    w = w[:, 0]
     disp_out = state.disp[:na] - gain.T @ v
-    log_density = -k * math.log(math.pi) - 0.5 * logdet - float(v @ w)
+    log_density = -k * math.log(math.pi) - 0.5 * logdet - float(v @ w[:, 0])
     return ConditionedState(cov_out, disp_out, math.exp(log_density))
 
 

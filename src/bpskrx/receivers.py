@@ -222,7 +222,8 @@ def type2_imperfect_error(
     The error is ``1/2 - exp(-nu - a) sinh(b)`` (stable form, see
     `_click_result`), and ``gamma_opt`` minimizes it: ``xi sqrt(tau) alpha =
     gamma tanh(b)`` with ``b = 2 eta xi sqrt(tau) alpha gamma``. At ``tau =
-    xi = 1`` the row is tagged ``type2``.
+    xi = 1`` the row is tagged ``type2``. Below eta of about 2.8e-309, gamma^2 ~
+    1/(2 eta) overflows and the call raises UnsupportedConfigurationError, though P = 1/2.
     """
     alpha, gamma = ensemble.alpha, solve_type2_gamma_imperfect(ensemble.alpha, detector).value
     e = math.exp(-4.0 * detector.eta * detector.xi * math.sqrt(detector.tau) * alpha * gamma)

@@ -20,10 +20,10 @@ Within one call each distinct cell is formatted, and each distinct text
 parsed, once: a file repeats alpha^2 on every row of a point and the
 detector values on most of them. The tables live only for that call. Two
 cells that compare equal share a text, except the zeros: 0.0 and -0.0 are
-one key but two texts, so a zero is never stored. A cell that cannot be
-hashed, such as a 0-d numpy array, is formatted on its own. A file's bytes
-move in ``os.write`` and ``os.read`` calls on a descriptor, with no
-buffered file object between.
+one key but two texts, so a zero is never stored. A cell is a float, a str
+or None, as `CsvRow` annotates; an unhashable cell, such as a 0-d numpy
+array, raises TypeError. A file's bytes move in ``os.write`` and ``os.read``
+calls on a descriptor, with no buffered file object between.
 """
 
 from __future__ import annotations
@@ -92,20 +92,12 @@ class _CellTexts(dict):
         return text
 
 
-def _cell_text(cell) -> str:
-    return "" if cell is None else cell if isinstance(cell, str) else repr(float(cell))
-
-
 def write_csv(path, rows, metadata: dict | None = None) -> None:
-    """Write rows (UTF-8, LF endings) with ``#`` metadata lines up front."""
+    """Write rows of float, str or None cells (UTF-8, LF endings), ``#`` metadata first."""
     lines = [f"# {key}={value}" for key, value in (metadata or {}).items()]
     lines.append(_CSV_HEADER)
     text_of = _CellTexts({None: ""}).__getitem__
-    for row in rows:
-        try:
-            lines.append(",".join(map(text_of, row)))
-        except TypeError:  # an unhashable cell
-            lines.append(",".join([_cell_text(x) for x in row]))
+    lines += [",".join(map(text_of, row)) for row in rows]
     write_text(path, "\n".join(lines) + "\n")
 
 

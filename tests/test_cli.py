@@ -212,6 +212,11 @@ def test_params_output(capsys):
     assert abs(gamma - 0.7717023192091041) < 1e-14
     assert abs(beta - 0.708909526414441) < 1e-9
     assert abs(r - 0.24288679719072476) < 1e-9
+    # a lossy detector, and both Newton solves at the ends of their domain
+    for alpha_sq, eta in (("1", "0.01"), ("1e-300", "1e-3"), ("1e300", "1e-3")):
+        assert cli.main(["params", "--alpha-sq", alpha_sq, "--eta", eta]) == 0
+        values = re.findall(r"=(\S+)", capsys.readouterr().out)
+        assert len(values) == 7 and all(math.isfinite(float(v)) for v in values)
 
 
 def test_params_solver_failure_exit_3(monkeypatch, capsys):

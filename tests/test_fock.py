@@ -173,7 +173,7 @@ def test_expm_action_matches_dense_expm(k, n, x):
     block[1, :cut] = _coherent_amps(-1.0, cut)
     noise = np.random.default_rng(n + 10 * k).standard_normal((2, n))
     for psi, bound in ((block, 1e-13), (noise, 1e-12)):
-        got = _expm_action(c, k, psi)
+        got = _expm_action(np.stack([c, c]), k, psi)  # one band per row
         want = psi @ dense.T
         assert np.abs(got - want).sum(axis=0).max() <= bound * np.abs(want).sum(axis=0).max()
         start = (psi**2).sum(axis=1)

@@ -138,6 +138,18 @@ def test_type2_imperfect_frozen_and_reduction():
     assert a.receiver == "type2"
 
 
+def test_type2_domain_ends_where_gamma_squared_overflows():
+    """gamma^2 ~ 1/(2 eta) overflows below eta of about 2.8e-309: there the
+    optimized receivers raise, although P is 1/2, which kennedy returns."""
+    ens = BinaryEnsemble(0.5)
+    for evaluate, tau, xi in ((type2_error, 1.0, 1.0), (type2_imperfect_error, 0.99, 0.995)):
+        at, below = (DetectorModel(eta=eta, tau=tau, xi=xi) for eta in (3e-309, 2e-309))
+        assert evaluate(ens, at).p_error == 0.5
+        assert kennedy_error(ens, below).p_error == 0.5
+        with pytest.raises(UnsupportedConfigurationError, match="overflows"):
+            evaluate(ens, below)
+
+
 def test_type1_result_fields():
     res = type1_error(BinaryEnsemble(0.5))
     assert res.receiver == "type1"

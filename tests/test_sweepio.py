@@ -79,12 +79,13 @@ def test_equal_cells_of_other_types_write_as_float(tmp_path):
     assert b",1.0,1.0," in path.read_bytes() and b",-0.0,0.0," in path.read_bytes()
 
 
-def test_unhashable_cell_is_formatted_directly(tmp_path):
-    rows = [_row(eta=0.9), _row(eta=np.array(0.9), nu=np.array(-0.0)), _row(eta=0.9, nu=0.0)]
+def test_unhashable_cell_is_refused(tmp_path):
+    """A cell is a float, a str or None: a 0-d numpy array raises TypeError,
+    as a list does, and no file is written."""
     path = tmp_path / "t.csv"
-    write_csv(path, rows)
-    assert path.read_bytes() == _reference_bytes(rows)
-    assert _signs(read_csv(path)[1])[1][3] == "-0.0"
+    with pytest.raises(TypeError, match="unhashable"):
+        write_csv(path, [_row(eta=0.9), _row(eta=np.array(0.9), nu=np.array(-0.0))])
+    assert not path.exists()
 
 
 def test_non_numeric_cell_raises_as_before(tmp_path):
