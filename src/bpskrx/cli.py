@@ -171,19 +171,23 @@ def _cmd_sweep(args) -> int:
     grid = _alpha_grid(args)
     det = _detector(args)
     rows = []
-    omitted = 0
+    refusals = {}  # (tag, exception type) -> [count, first and last alpha_sq, first exception]
     for alpha_sq in grid:
         ensemble = BinaryEnsemble(math.sqrt(alpha_sq))
         for tag in args.receivers:
             try:
                 result = RECEIVERS[tag].evaluate(ensemble, det)
             except _SOLVER_FAILURES as exc:
-                print(
-                    f"warning: {tag} at alpha_sq={alpha_sq!r}: {exc}", file=sys.stderr
-                )
-                omitted += 1
+                kind = refusals.setdefault((tag, type(exc).__name__), [0, alpha_sq, alpha_sq, exc])
+                kind[0] += 1
+                kind[2] = alpha_sq
                 continue
             rows.append(row_from_result(alpha_sq, result))
+    for (tag, name), (count, first, last, exc) in refusals.items():
+        print(
+            f"warning: {tag} omitted at {count} of {len(grid)} points, alpha_sq {first!r}"
+            f" to {last!r}, {name}: {exc}", file=sys.stderr,
+        )
     metadata = {
         "tool": "bpskrx sweep",
         "receivers": ",".join(args.receivers),
@@ -191,7 +195,7 @@ def _cmd_sweep(args) -> int:
         "scale": args.scale,
         "points": args.points,
     }
-    return _save(args.out, write_csv, rows, metadata) or (2 if omitted else 0)
+    return _save(args.out, write_csv, rows, metadata) or (2 if refusals else 0)
 
 
 def _cmd_params(args) -> int:

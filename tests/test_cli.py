@@ -122,7 +122,11 @@ def test_sweep_partial_failure_exit_2(tmp_path, monkeypatch, capsys):
         ["sweep", "--points", "3", "--receivers", "helstrom,type1", "--out", str(out)]
     )
     assert rc == 2
-    assert "injected failure" in capsys.readouterr().err
+    # one line for the kind of refusal, not one per omitted point
+    assert capsys.readouterr().err == (
+        "warning: type1 omitted at 3 of 3 points, alpha_sq 0.01 to 10.0, "
+        "ConvergenceError: injected failure\n"
+    )
     _, rows = read_csv(out)
     # the healthy receiver still produced all its rows
     assert [r.receiver for r in rows] == ["helstrom"] * 3
@@ -195,7 +199,11 @@ def test_sweep_type1_at_alpha_zero_is_omitted(tmp_path, capsys):
          "--points", "2", "--receivers", "helstrom,type1", "--out", str(out)]
     )
     assert rc == 2
-    assert "type1 at alpha_sq=0.0: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(
+        "warning: type1 omitted at 1 of 2 points, alpha_sq 0.0 to 0.0, "
+        "UnsupportedConfigurationError: "
+    )
     _, rows = read_csv(out)
     assert [(r.alpha_sq, r.receiver) for r in rows] == [
         (0.0, "helstrom"), (1.0, "helstrom"), (1.0, "type1")
@@ -861,6 +869,7 @@ def test_montecarlo_solves_gamma_once_per_point(tmp_path, monkeypatch):
         ["sweep", "--alpha-sq-max", "1.7976931348623157e308"],  # 10 ** log10 overflows
         ["montecarlo", "--alpha-sq-max", "1.7976931348623157e308"],
         ["montecarlo", "--trials", "0"],
+        ["montecarlo", "--trials", "9223372036854775808"],
         ["montecarlo", "--eta", "1.5"],
         ["params", "--alpha-sq", "-1"],
         ["params", "--alpha-sq", "0"],

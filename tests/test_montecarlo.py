@@ -1,4 +1,5 @@
-"""Click-simulation determinism, exact degenerate cases, and coverage."""
+"""Click-simulation determinism, draw order and exact law, degenerate cases,
+coverage, and the tail."""
 
 import math
 import tracemalloc
@@ -7,17 +8,9 @@ import numpy as np
 import pytest
 
 from bpskrx.core import BinaryEnsemble, DetectorModel
-from bpskrx.montecarlo import (
-    _CHUNK,
-    _MINUS,
-    _PLUS,
-    McConfig,
-    McEstimate,
-    simulate_type2,
-    sweep_montecarlo,
-)
+from bpskrx.montecarlo import McConfig, McEstimate, simulate_type2, sweep_montecarlo
 from bpskrx.optimize import solve_type2_gamma_imperfect
-from bpskrx.receivers import mean_intensity, type2_imperfect_error
+from bpskrx.receivers import mean_intensity, type2_error, type2_imperfect_error
 
 FIG4_DETECTOR = DetectorModel(eta=0.9, nu=1e-3, tau=0.99, xi=0.995)
 
@@ -179,97 +172,95 @@ def test_sweep_point_seeds_spread():
     assert seeds == [est.config.seed for est in sweep_montecarlo(np.linspace(0.1, 1.0, 100), template)]
 
 
-@pytest.mark.parametrize("p_plus", [0.5])
-@pytest.mark.parametrize("trials", [1, 2, 7, 10**6 + 3])
-def test_stratified_mask_equals_two_floor_formula(trials, p_plus):
-    """At p = 1/2 the stratified sign sequence floor((i + 1) p) > floor(i p)
-    is "odd i sends plus", which the chunks read as prefixes of _PLUS; an
-    even _CHUNK keeps the parity across chunk edges."""
-    i = np.arange(trials, dtype=float)
-    ref = np.floor((i + 1.0) * p_plus) > np.floor(i * p_plus)
-    sent = np.concatenate([_PLUS[: min(_CHUNK, trials - lo)] for lo in range(0, trials, _CHUNK)])
-    assert np.array_equal(sent, ref)
+def test_tail_tracks_analytic_value():
+    """Deep in the tail at eta = 1, nu = 0 (P about 3.1e-6, 1.0e-9 and
+    3.5e-13), with trials sized for about 10^6 expected errors, up to
+    2.9e18: the estimate agrees with the stable arrangement of the closed
+    form in `_click_result`."""
+    for alpha_sq in (3, 5, 7):
+        truth = type2_error(BinaryEnsemble(math.sqrt(alpha_sq)))
+        trials = round(1e6 / truth.p_error)
+        assert trials < 2**63
+        est = simulate_type2(_config(math.sqrt(alpha_sq), DetectorModel(), trials=trials,
+                                     seed=alpha_sq, gamma=truth.gamma_opt))
+        z = (est.p_hat - truth.p_error) / est.std_err
+        print(f"alpha^2={alpha_sq}: p_hat={est.p_hat}, truth={truth.p_error}, z={z:+.2f}")
+        assert abs(z) < 5.0
 
 
-@pytest.mark.parametrize("gamma", [0.4])
-def test_error_count_equals_click_comparison(gamma):
-    """p_hat equals the count of trials whose click disagrees with the sent
-    sign, plus at odd trials, the click drawn as ``u < p_on[sign]`` from the
-    same stream."""
-    det = DetectorModel(eta=0.8, nu=0.01)
-    ens = BinaryEnsemble(0.6)
-    p_on = {s: -math.expm1(-(det.nu + det.eta * mean_intensity(s, ens, gamma, det)))
-            for s in (1, -1)}
-    for seed, trials in [(1, 10001), (2, 777), (3, 99999)]:
-        plus = np.arange(trials) % 2 == 1
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        clicks = rng.random(trials) < np.where(plus, p_on[1], p_on[-1])
-        errors = int(np.count_nonzero(clicks != plus))
-        est = simulate_type2(McConfig(trials, seed, ens, det, gamma))
-        assert est.p_hat == errors / trials
-
-
-def _one_shot_p_hat(config):
-    """The simulation on whole arrays of length ``trials``, as it ran before
-    the stream was drawn in chunks."""
+def _branch_probabilities(config):
+    """The probabilities that a plus trial does not click and that a minus
+    trial does, for the mean intensities of each sign."""
     ens, det = config.ensemble, config.detector
-    p_on = {s: -math.expm1(-(det.nu + det.eta * mean_intensity(s, ens, config.gamma, det)))
-            for s in (1, -1)}
-    plus = np.arange(config.trials) % 2 == 1
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    u = rng.random(config.trials)
-    misses = np.count_nonzero(plus) - np.count_nonzero((u < p_on[1]) & plus)
-    return int(misses + np.count_nonzero((u < p_on[-1]) & ~plus)) / config.trials
+    plus, minus = (det.nu + det.eta * mean_intensity(s, ens, config.gamma, det) for s in (1, -1))
+    return math.exp(-plus), -math.expm1(-minus)
 
 
-@pytest.mark.parametrize("eta", [0.5, 1 / 3, 0.3, 0.77, 0.999, 0.29])
-@pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 10**6])
-def test_chunked_stream_equals_one_shot(trials, eta):
-    """Drawing the uniforms chunk by chunk and counting per chunk gives the
-    bits of one draw of the whole stream, at and around chunk edges, over a
-    range of detector efficiencies."""
-    det = DetectorModel(eta=eta, nu=1e-3, tau=0.99, xi=0.995)
-    config = McConfig(trials, 7 + trials, BinaryEnsemble(0.7), det, 0.5)
-    assert simulate_type2(config).p_hat == _one_shot_p_hat(config)
-
-
-@pytest.mark.parametrize(
-    "trials",
-    [*range(1, 30), _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK,
-     3 * _CHUNK + 7, 10**6, 10**6 + 1],
-)
-def test_chunked_stream_equals_one_shot_random_detector(trials):
-    """Drawing the uniforms chunk by chunk and counting per chunk gives the
-    bits of one draw of the whole stream, at and around chunk edges, for odd
-    and even counts and a seeded random detector."""
+@pytest.mark.parametrize("trials", [1, 2, 7, 10**6, 10**6 + 1, 10**18 + 1, 2**63 - 1])
+def test_error_count_is_two_binomial_draws_plus_first(trials):
+    """The error count is the plus trials without a click, drawn first over
+    the floor(trials / 2) plus trials, and then the minus trials with one,
+    over the rest, both from the generator of the config's seed."""
     rng = np.random.default_rng(trials)
     det = DetectorModel(eta=rng.uniform(), nu=rng.uniform(0.0, 0.1),
                         tau=rng.uniform(0.5, 1.0), xi=rng.uniform(0.5, 1.0))
-    ens = BinaryEnsemble(rng.uniform(0.0, 1.5))
-    config = McConfig(trials, 7 + trials, ens, det, rng.uniform(0.0, 1.5))
-    assert simulate_type2(config).p_hat == _one_shot_p_hat(config)
+    config = McConfig(trials, 7 + trials, BinaryEnsemble(rng.uniform(0.0, 1.5)), det,
+                      rng.uniform(0.0, 1.5))
+    p_miss, p_false = _branch_probabilities(config)
+    draws = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    errors = draws.binomial(trials // 2, p_miss) + draws.binomial(trials - trials // 2, p_false)
+    assert simulate_type2(config).errors == errors
 
 
-def test_plus_mask_cache_holds_one_read_only_mask():
-    """Every chunk reads a prefix of one module-level sign array, plus at
-    odd trials, and of its complement; nothing may write to either."""
-    assert _PLUS.shape == (_CHUNK,) and _PLUS.dtype == bool
-    assert np.array_equal(_PLUS, np.arange(_CHUNK) % 2 == 1)
-    assert np.array_equal(_MINUS, ~_PLUS)
-    for mask in (_PLUS, _MINUS):
-        with pytest.raises(ValueError, match="read-only"):
-            mask[0] = True
+def _pmf_of_sum(n_plus, p_plus, n_minus, p_minus):
+    """Exact law of Binomial(n_plus, p_plus) + Binomial(n_minus, p_minus)."""
+    def pmf(n, p):
+        return [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+
+    plus, minus = pmf(n_plus, p_plus), pmf(n_minus, p_minus)
+    return [sum(plus[j] * minus[k - j] for j in range(len(plus)) if 0 <= k - j < len(minus))
+            for k in range(n_plus + n_minus + 1)]
 
 
-def test_repeated_call_allocates_per_chunk_not_per_trial():
-    """A 2e6-trial call holds about one chunk of uniforms and masks at a
-    time, not arrays of length ``trials``."""
-    config = _config(0.8, FIG4_DETECTOR, trials=2 * 10**6, gamma=0.8)
-    simulate_type2(config)
-    tracemalloc.start()
-    try:
+@pytest.mark.parametrize("trials", [9, 10])
+def test_error_count_has_the_exact_law(trials):
+    """Over 20,000 seeds the error counts follow the exact law of the sum of
+    the plus-without-click and minus-with-click binomials, by a chi-square
+    over bins pooled to at least 5 expected counts; 45 is about the 1e-6
+    tail at the most degrees of freedom, 9. At odd trials, plus sends
+    floor(trials / 2) of them, so swapping the two counts fails here too."""
+    seeds = 20000
+    config = _config(0.6, DetectorModel(eta=0.8, nu=0.01), trials=trials, seed=0, gamma=0.1)
+    p_miss, p_false = _branch_probabilities(config)
+    expected = [seeds * q for q in _pmf_of_sum(trials // 2, p_miss, trials - trials // 2, p_false)]
+    observed = np.bincount(
+        [simulate_type2(config._replace(seed=seed)).errors for seed in range(seeds)],
+        minlength=trials + 1,
+    ).tolist()
+    bins = []  # (observed, expected), each tail pooled into its neighbour
+    for obs, exp in zip(observed, expected):
+        if bins and bins[-1][1] < 5.0:
+            bins[-1] = (bins[-1][0] + obs, bins[-1][1] + exp)
+        else:
+            bins.append((obs, exp))
+    if bins[-1][1] < 5.0:
+        last = bins.pop()
+        bins[-1] = (bins[-1][0] + last[0], bins[-1][1] + last[1])
+    chi2 = sum((obs - exp) ** 2 / exp for obs, exp in bins)
+    print(f"trials={trials}: chi2={chi2:.2f} over {len(bins)} bins")
+    assert chi2 < 45.0
+
+
+def test_repeated_call_allocates_nothing_per_trial():
+    """A call draws two binomial counts and holds no array of length
+    ``trials``, at 2e6 trials or at 2**62."""
+    for trials in (2 * 10**6, 2**62):
+        config = _config(0.8, FIG4_DETECTOR, trials=trials, gamma=0.8)
         simulate_type2(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+        tracemalloc.start()
+        try:
+            simulate_type2(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

@@ -73,6 +73,7 @@ REFUSALS = [
     (LandscapePoint, "e", 1.5, "sharpness e = 1.5 outside [0, 1]"),
     (McConfig, "trials", 0, "trials must be an int >= 1"),
     (McConfig, "trials", 10.0, "trials must be an int >= 1"),
+    (McConfig, "trials", 2**63, "trials must be an int >= 1 and < 2**63"),
     (McConfig, "seed", 2**64, "seed must be an int in [0, 2**64)"),
     (McConfig, "gamma", float("nan"), "gamma must be finite"),
     (GaussianState, "disp", [float("nan"), 0.0], "displacement has a non-finite entry"),
