@@ -196,20 +196,66 @@ def _branch_probabilities(config):
     return math.exp(-plus), -math.expm1(-minus)
 
 
-@pytest.mark.parametrize("trials", [1, 2, 7, 10**6, 10**6 + 1, 10**18 + 1, 2**63 - 1])
-def test_error_count_is_two_binomial_draws_plus_first(trials):
-    """The error count is the plus trials without a click, drawn first over
-    the floor(trials / 2) plus trials, and then the minus trials with one,
-    over the rest, both from the generator of the config's seed."""
+def _two_draws(config):
+    """The plus trials without a click, drawn first over the floor(trials /
+    2) plus trials, and then the minus trials with one, over the rest, both
+    from the generator of the config's seed."""
+    p_miss, p_false = _branch_probabilities(config)
+    half = config.trials // 2
+    draws = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    return int(draws.binomial(half, p_miss) + draws.binomial(config.trials - half, p_false))
+
+
+@pytest.mark.parametrize("p_plus", [0.5])
+@pytest.mark.parametrize("trials", [1, 2, 7, 10**6 + 3])
+def test_stratified_mask_equals_two_floor_formula(trials, p_plus):
+    """At p = 1/2 the stratified sign sequence floor((i + 1) p) > floor(i p)
+    is "odd i sends plus"; a detector that never clicks errs on exactly the
+    plus trials, so its error count is the number of plus trials there."""
+    i = np.arange(trials, dtype=float)
+    plus = np.count_nonzero(np.floor((i + 1.0) * p_plus) > np.floor(i * p_plus))
+    det = DetectorModel(eta=0.0, nu=0.0)
+    assert simulate_type2(_config(0.8, det, trials=trials, gamma=0.3)).errors == plus
+
+
+@pytest.mark.parametrize("gamma", [0.4])
+def test_error_count_equals_click_comparison(gamma):
+    """p_hat is the count of plus trials without a click and minus trials
+    with one, over the trials, each count drawn as one binomial, plus first,
+    from the config's generator."""
+    det = DetectorModel(eta=0.8, nu=0.01)
+    ens = BinaryEnsemble(0.6)
+    for seed, trials in [(1, 10001), (2, 777), (3, 99999)]:
+        config = McConfig(trials, seed, ens, det, gamma)
+        assert simulate_type2(config).p_hat == _two_draws(config) / trials
+
+
+@pytest.mark.parametrize("eta", [0.5, 1 / 3, 0.3, 0.77, 0.999, 0.29])
+@pytest.mark.parametrize("trials", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7, 10**6])
+def test_chunked_stream_equals_one_shot(trials, eta):
+    """The error count equals the two binomial draws, plus first, from the
+    config's generator, at odd and even trial counts over a range of
+    detector efficiencies."""
+    det = DetectorModel(eta=eta, nu=1e-3, tau=0.99, xi=0.995)
+    config = McConfig(trials, 7 + trials, BinaryEnsemble(0.7), det, 0.5)
+    assert simulate_type2(config).errors == _two_draws(config)
+
+
+@pytest.mark.parametrize(
+    "trials",
+    [*range(1, 30), 2**16 - 1, 2**16, 2**16 + 1, 2**17 - 1, 2**17, 3 * 2**16 + 7,
+     10**6, 10**6 + 1, 10**18 + 1, 2**63 - 1],
+)
+def test_chunked_stream_equals_one_shot_random_detector(trials):
+    """The error count equals the two binomial draws, plus first, from the
+    config's generator, for odd and even counts up to 2**63 - 1 and a
+    seeded random detector."""
     rng = np.random.default_rng(trials)
     det = DetectorModel(eta=rng.uniform(), nu=rng.uniform(0.0, 0.1),
                         tau=rng.uniform(0.5, 1.0), xi=rng.uniform(0.5, 1.0))
     config = McConfig(trials, 7 + trials, BinaryEnsemble(rng.uniform(0.0, 1.5)), det,
                       rng.uniform(0.0, 1.5))
-    p_miss, p_false = _branch_probabilities(config)
-    draws = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    errors = draws.binomial(trials // 2, p_miss) + draws.binomial(trials - trials // 2, p_false)
-    assert simulate_type2(config).errors == errors
+    assert simulate_type2(config).errors == _two_draws(config)
 
 
 def _pmf_of_sum(n_plus, p_plus, n_minus, p_minus):
