@@ -34,6 +34,7 @@ clamped to it.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -113,6 +114,9 @@ _THETA = {
     40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 
+#: A Taylor term buffer and its views: matvec neighbours, product slot, lead rows.
+_Term = collections.namedtuple("_Term", "whole low high product lead")
+
 
 def _expm_action(c: np.ndarray, k: int, psi: np.ndarray) -> np.ndarray:
     """``exp(G)`` on each row of ``psi``, for ``(G v)[j] = c[j-k] v[j-k] - c[j] v[j+k]``:
@@ -125,32 +129,37 @@ def _expm_action(c: np.ndarray, k: int, psi: np.ndarray) -> np.ndarray:
     are those of the rows that share the last band, so these rows evolve bitwise
     as they would alone."""
     n = psi.shape[-1]
-    band = np.pad(c, ((0, 0), (k, k)))  # band[j] = G[j, j-k], band[j+k] = -G[j, j+k]
+    band = np.zeros((len(c), n + k))  # band[j] = G[j, j-k], band[j+k] = -G[j, j+k]
+    band[:, k:n] = c
     norm = float((np.abs(band[:, :n]) + np.abs(band[:, k:])).max())
     costs = ((m, max(math.ceil(norm / theta), 1)) for m, theta in _THETA.items())
     m, s = min(costs, key=lambda ms: ms[0] * ms[1])
     scaled = band / (s * np.arange(1.0, m + 1.0)).reshape((m, 1, 1))
+    bands = list(zip(scaled[:, :, :n], scaled[:, :, k:]))  # per Taylor term
     lead = int((c == c[-1]).all(axis=1).sum())
-    f = np.pad(psi, ((0, 0), (k, k)))  # zero pads of k make a matvec two slices
-    term, nxt = np.zeros_like(f), np.zeros_like(f)
-    prod, mag, col = np.empty_like(psi), np.empty((lead, f.shape[1])), np.empty(f.shape[1])
+    f = np.zeros((len(psi), n + 2 * k))  # zero pads of k make a matvec two slices
+    f[:, k:-k] = psi
+    f_lead = f[-lead:]
+    prod, mag, col = np.empty_like(psi), np.empty((lead, n + 2 * k)), np.empty(n + 2 * k)
+    zeros = np.zeros_like(f), np.zeros_like(f)
+    term, nxt = (_Term(b, b[:, :n], b[:, 2 * k :], b[:, k:-k], b[-lead:]) for b in zeros)
 
-    def inf_norm(v):  # of the lead rows, in the buffers above
-        return np.maximum.reduce(np.add.reduce(np.abs(v[-lead:], out=mag), out=col))
+    def inf_norm(rows):  # of lead rows, in the buffers above
+        return np.maximum.reduce(np.add.reduce(np.abs(rows, out=mag), out=col))
 
     for _ in range(s):
-        term[:] = f
-        c1 = bound = inf_norm(f)
-        for j in range(m):
-            out = nxt[:, k:-k]
-            np.multiply(scaled[j, :, :n], term[:, :n], out=out)
-            np.multiply(scaled[j, :, k:], term[:, 2 * k :], out=prod)
+        term.whole[:] = f
+        c1 = bound = inf_norm(f_lead)
+        for band_low, band_high in bands:
+            out = nxt.product
+            np.multiply(band_low, term.low, out=out)
+            np.multiply(band_high, term.high, out=prod)
             out -= prod
             term, nxt = nxt, term
-            c2 = inf_norm(term)
-            f += term
+            c2 = inf_norm(term.lead)
+            f += term.whole
             bound += c2
-            if c1 + c2 <= 2.0**-53 * bound and c1 + c2 <= 2.0**-53 * inf_norm(f):
+            if c1 + c2 <= 2.0**-53 * bound and c1 + c2 <= 2.0**-53 * inf_norm(f_lead):
                 break
             c1 = c2
     return f[:, k:-k]
@@ -240,7 +249,7 @@ def receiver_error_fock(
     ------
     ValueError
         If alpha or beta is not finite, |r| > 2 or r is not finite, eta is
-        outside [0, 1], nu is negative or not finite, or ``dim`` is not an int >= 1.
+        outside [0, 1], nu is negative or not finite, or ``dim`` is not an int in [1, 512].
     TruncationError
         If the adaptive search reaches the 512-level cap without converging
         (the message names the truncations tried and the last change), the
@@ -254,7 +263,7 @@ def receiver_error_fock(
         ("r", r, abs(r) <= 2.0, "finite with |r| <= 2"),
         ("eta", eta, 0.0 <= eta <= 1.0, "in [0, 1]"),
         ("nu", nu, 0.0 <= nu < math.inf, "finite and >= 0"),
-        ("dim", dim, dim is None or (type(dim) is int and dim >= 1), "an int >= 1"),
+        ("dim", dim, dim is None or type(dim) is int and 1 <= dim <= DIM_CAP, "an int in [1, 512]"),
     ):
         if not ok:
             raise ValueError(f"{name} = {value!r} is outside the oracle domain: must be {rule}")

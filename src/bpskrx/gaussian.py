@@ -22,6 +22,7 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from typing import NamedTuple
@@ -67,6 +68,14 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return _OMEGAS[n_modes]
 
 
+@functools.cache
+def _i_omega(n_modes: int) -> np.ndarray:
+    """``1j * symplectic_form(n_modes)`` for the uncertainty check, read-only."""
+    i_omega = 1j * symplectic_form(n_modes)
+    i_omega.setflags(write=False)
+    return i_omega
+
+
 def _block_diag(blocks) -> np.ndarray:
     """Direct sum of square blocks: scipy's ``block_diag``, +0.0 elsewhere."""
     out = np.zeros((sum(len(b) for b in blocks),) * 2)
@@ -97,8 +106,9 @@ def _checked_cov(cov, what: str) -> np.ndarray:
         raise DimensionMismatchError(f"{what} shape {cov.shape} is not 2n x 2n")
     if np.abs(cov - cov.T).max(initial=0.0) > 1e-12:
         raise ValueError(f"{what} is not symmetric within 1e-12")
-    low = np.linalg.eigvalsh(cov + 1j * symplectic_form(len(cov) // 2)).min(initial=0.0)
-    if low < -1e-10 * max(1.0, float(np.abs(cov).max(initial=0.0))):
+    low = np.linalg.eigvalsh(cov + _i_omega(len(cov) // 2)).min(initial=0.0)
+    # the bound is at most -1e-10, so |cov| is needed only below that
+    if low < -1e-10 and low < -1e-10 * max(1.0, float(np.abs(cov).max(initial=0.0))):
         raise ValueError(
             f"{what} violates the uncertainty relation: min eig(cov + i Omega) = {low:.3e}"
         )
@@ -148,7 +158,7 @@ class SymplecticOp(namedtuple("SymplecticOp", "matrix")):
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
             raise DimensionMismatchError(f"symplectic matrix shape {s.shape}")
         omega = symplectic_form(s.shape[0] // 2)
-        if np.abs(s @ omega @ s.T - omega).max() > 1e-10:
+        if np.abs(s @ omega @ s.T - omega).max(initial=0.0) > 1e-10:
             raise ValueError("matrix is not symplectic within 1e-10")
         return tuple.__new__(cls, (s,))
 
@@ -157,23 +167,23 @@ class SymplecticOp(namedtuple("SymplecticOp", "matrix")):
         return self.matrix.shape[0] // 2
 
 
-def _embed(n_modes: int, modes: tuple[int, ...], block: np.ndarray) -> np.ndarray:
-    """Embed a small symplectic block acting on ``modes`` into 2n x 2n."""
-    s = np.eye(2 * n_modes)
-    idx = np.array([k for m in modes for k in (2 * m, 2 * m + 1)])
-    s[idx[:, None], idx] = block
-    return s
-
-
-def _gate_block(gate: str, x: float) -> np.ndarray:
-    """4x4 beamsplitter block at angle x; 2x2 rotation at angle x or squeezer at r = x."""
+def _gate(n_modes: int, gate: str, x: float, modes: tuple[int, ...]) -> np.ndarray:
+    """The 2n x 2n matrix of one circuit gate, identity off ``modes``: a
+    beamsplitter ``[[c I, -s I], [s I, c I]]`` at angle x on a mode pair, a
+    rotation ``[[c, s], [-s, c]]`` at angle x or a squeezer at r = x on one mode."""
+    g = np.eye(2 * n_modes)
+    a = 2 * modes[0]
     c, s = math.cos(x), math.sin(x)
     if gate == "beamsplitter":  # the zeros keep the signs of c * eye(2) and s * eye(2)
-        zc, zs = c * 0.0, s * 0.0
-        return np.array([[c, zc, -s, -zs], [zc, c, -zs, -s], [s, zs, c, zc], [zs, s, zc, c]])
-    if gate == "rotation":
-        return np.array([[c, s], [-s, c]])
-    return np.diag([math.exp(-x), math.exp(x)])
+        b = 2 * modes[1]
+        for p, q, v in ((a, a, c), (a, b, -s), (b, a, s), (b, b, c)):
+            g[p, q] = g[p + 1, q + 1] = v
+            g[p, q + 1] = g[p + 1, q] = v * 0.0
+    elif gate == "rotation":
+        g[a, a], g[a, a + 1], g[a + 1, a], g[a + 1, a + 1] = c, s, -s, c
+    else:
+        g[a, a], g[a + 1, a + 1] = math.exp(-x), math.exp(x)
+    return g
 
 
 def random_symplectic(n_modes: int, rng: np.random.Generator) -> SymplecticOp:
@@ -190,13 +200,11 @@ def random_symplectic(n_modes: int, rng: np.random.Generator) -> SymplecticOp:
     s = np.eye(2 * n_modes)
     for _ in range(3 * n_modes):
         if n_modes >= 2:
-            i, j = rng.choice(n_modes, size=2, replace=False)
-            block = _gate_block("beamsplitter", rng.uniform(0.0, 2.0 * math.pi))
-            s = _embed(n_modes, (int(i), int(j)), block) @ s
-        block = _gate_block("rotation", rng.uniform(0.0, 2.0 * math.pi))  # angle, then mode
-        s = _embed(n_modes, (int(rng.integers(n_modes)),), block) @ s
-        block = _gate_block("squeezer", rng.uniform(0.0, 1.5))
-        s = _embed(n_modes, (int(rng.integers(n_modes)),), block) @ s
+            i, j = rng.choice(n_modes, size=2, replace=False).tolist()
+            s = _gate(n_modes, "beamsplitter", rng.uniform(0.0, 2.0 * math.pi), (i, j)) @ s
+        angle = rng.uniform(0.0, 2.0 * math.pi)  # angle, then mode
+        s = _gate(n_modes, "rotation", angle, (int(rng.integers(n_modes)),)) @ s
+        s = _gate(n_modes, "squeezer", rng.uniform(0.0, 1.5), (int(rng.integers(n_modes)),)) @ s
     return SymplecticOp(s)
 
 
@@ -207,7 +215,10 @@ def _measurement_cov(r: float, phi: float) -> np.ndarray:
     ``s = sinh(2r) sin(phi)``; determinant is exactly 1. ``(r, 0)`` with
     large ``r`` approaches sharp x-homodyne, ``r = 0`` is heterodyne.
     """
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    try:
+        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:  # |r| above about 355
+        raise ValueError(f"measurement covariance has a non-finite entry at r = {r}") from None
     c_minus = ch - sh * math.cos(phi)
     c_plus = ch + sh * math.cos(phi)
     s = sh * math.sin(phi)

@@ -58,12 +58,14 @@ def test_coherent_tail():
         ("dim", 0),
         ("dim", 40.5),
         ("dim", True),
+        ("dim", 513),
     ],
 )
 def test_receiver_error_rejects_bad_input(name, value):
     """Out-of-domain input raises a ValueError naming the argument; |r| > 2
     is rejected before the truncation estimate exp(|r|) can overflow, and a
-    truncation must be an integer, not a float or a bool."""
+    truncation must be an integer, not a float or a bool, and at most the
+    adaptive search's cap, checked before any buffer is allocated."""
     args = {"alpha": 0.5, "beta": 0.2, "r": 0.5, "eta": 1.0, "nu": 0.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} = "):
         receiver_error_fock(**args)
@@ -178,6 +180,59 @@ def test_expm_action_matches_dense_expm(k, n, x):
         assert np.abs(got - want).sum(axis=0).max() <= bound * np.abs(want).sum(axis=0).max()
         start = (psi**2).sum(axis=1)
         assert np.abs((got**2).sum(axis=1) / start - 1.0).max() < 1e-13
+
+
+def _expm_action_reference(c, k, psi):
+    """The banded Taylor propagator as first written, slicing its buffers and
+    bands on every term: the bitwise reference for `_expm_action`."""
+    n = psi.shape[-1]
+    band = np.pad(c, ((0, 0), (k, k)))
+    norm = float((np.abs(band[:, :n]) + np.abs(band[:, k:])).max())
+    costs = ((m, max(math.ceil(norm / theta), 1)) for m, theta in fock._THETA.items())
+    m, s = min(costs, key=lambda ms: ms[0] * ms[1])
+    scaled = band / (s * np.arange(1.0, m + 1.0)).reshape((m, 1, 1))
+    lead = int((c == c[-1]).all(axis=1).sum())
+    f = np.pad(psi, ((0, 0), (k, k)))
+    term, nxt = np.zeros_like(f), np.zeros_like(f)
+    prod, mag, col = np.empty_like(psi), np.empty((lead, f.shape[1])), np.empty(f.shape[1])
+
+    def inf_norm(v):
+        return np.maximum.reduce(np.add.reduce(np.abs(v[-lead:], out=mag), out=col))
+
+    for _ in range(s):
+        term[:] = f
+        c1 = bound = inf_norm(f)
+        for j in range(m):
+            out = nxt[:, k:-k]
+            np.multiply(scaled[j, :, :n], term[:, :n], out=out)
+            np.multiply(scaled[j, :, k:], term[:, 2 * k :], out=prod)
+            out -= prod
+            term, nxt = nxt, term
+            c2 = inf_norm(term)
+            f += term
+            bound += c2
+            if c1 + c2 <= 2.0**-53 * bound and c1 + c2 <= 2.0**-53 * inf_norm(f):
+                break
+            c1 = c2
+    return f[:, k:-k]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("per_row", [False, True], ids=["one-band", "band-per-row"])
+def test_expm_action_equals_reference_bitwise(k, per_row):
+    """On seeded bands and vectors the propagator is bitwise the reference,
+    with one band for all rows or one cut band per row pair, the largest last,
+    as the oracle's pair of truncations evolves. The norms span one Taylor step
+    of few terms to many steps of 55."""
+    rng = np.random.default_rng([2011, k, per_row])
+    for n, x in ((12, 0.05), (60, 0.8), (140, -2.0), (300, 1.5)):
+        c = _band(k, x * rng.uniform(0.5, 1.5), n)
+        cut = np.repeat([n // 3, n - k], 2) if per_row else np.full(4, n - k)
+        bands = np.where(np.arange(n - k) < cut[:, None], c, 0.0)
+        psi = rng.standard_normal((4, n))
+        psi[:2, n // 2 :] = 0.0
+        got = _expm_action(bands, k, psi)
+        assert got.tobytes() == _expm_action_reference(bands, k, psi).tobytes()
 
 
 def _sparse_error_at_dim(alpha, beta, r, eta, nu, dims):

@@ -19,7 +19,7 @@ from bpskrx.gaussian import (
     GaussianState,
     SymplecticOp,
     _block_diag,
-    _gate_block,
+    _gate,
     _schur,
     apply_gaussian_unitary,
     binary_conditional_output,
@@ -97,12 +97,12 @@ def test_balanced_beamsplitter_splits_amplitude():
 
 def test_squeezer_convention():
     """The circuits' squeezer at r maps the vacuum to diag(exp(-2r), exp(2r))."""
-    st = apply_gaussian_unitary(vacuum(1), SymplecticOp(_gate_block("squeezer", 0.7)))
+    st = apply_gaussian_unitary(vacuum(1), SymplecticOp(_gate(1, "squeezer", 0.7, (0,))))
     assert np.allclose(st.cov, np.diag([math.exp(-1.4), math.exp(1.4)]))
 
 
 def test_rotation_is_symplectic_orthogonal():
-    s = _gate_block("rotation", 0.9)
+    s = _gate(1, "rotation", 0.9, (0,))
     assert np.allclose(s @ s.T, np.eye(2), atol=1e-15)
 
 
@@ -123,9 +123,12 @@ def test_dimension_mismatches_rejected():
 
 
 def test_zero_mode_state():
-    """The state left after measuring every mode has no modes; it is valid."""
+    """The state left after measuring every mode has no modes; it is valid,
+    and so is the symplectic op on no modes."""
     st = GaussianState(np.zeros((0, 0)), np.zeros(0))
     assert st.n_modes == 0
+    assert SymplecticOp(np.zeros((0, 0))).n_modes == 0
+    assert random_symplectic(0, np.random.default_rng(0)).matrix.shape == (0, 0)
 
 
 def test_uncertainty_violation_rejected():
@@ -143,10 +146,17 @@ def test_uncertainty_violation_rejected():
         lambda x: GaussianMeasurementSpec(np.eye(2), [x, 0.0]),
         lambda x: GaussianMeasurementSpec([[x, 0.0], [0.0, 1.0]], [0.0, 0.0]),
         lambda x: SymplecticOp([[x, 0.0], [0.0, 1.0]]),
+        lambda x: GaussianMeasurementSpec.homodyne_stack([x], [0.0]),
+        lambda x: GaussianMeasurementSpec.homodyne_stack([math.copysign(400.0, x)], [0.0]),
     ],
-    ids=["state-disp", "state-cov-diag", "state-cov-offdiag", "meas-outcome", "meas-cov", "symplectic"],
+    ids=[
+        "state-disp", "state-cov-diag", "state-cov-offdiag", "meas-outcome", "meas-cov", "symplectic",
+        "meas-r", "meas-r-400",
+    ],
 )
 def test_non_finite_input_rejected(build, bad):
+    """A non-finite entry is refused with a ValueError, and so is a finite
+    measurement r = +-400 whose cosh(2r) overflows."""
     with pytest.raises(ValueError, match="non-finite"):
         build(bad)
 
@@ -194,11 +204,12 @@ def test_random_symplectic_pins_draw_and_product_order(n):
 
 @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2, 2.5, math.pi, 4.0, 5.9])
 def test_beamsplitter_block_equals_block_form_bitwise(theta):
-    """The circuits' beamsplitter block is [[c I, -s I], [s I, c I]] built
-    from ``eye(2)``, zeros' sign bits included."""
-    ref = _beamsplitter(theta)
-    got = _gate_block("beamsplitter", theta)
-    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+    """The circuits' beamsplitter on modes (i, j) is [[c I, -s I], [s I, c I]]
+    built from ``eye(2)`` and placed on those modes, zeros' sign bits included."""
+    for n, modes in ((2, (0, 1)), (2, (1, 0)), (3, (2, 0)), (4, (1, 3))):
+        ref = _on_modes(n, modes, _beamsplitter(theta))
+        got = _gate(n, "beamsplitter", theta, modes)
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
